@@ -11,7 +11,6 @@ ruledinv command.
 from .exterior import (
     Multivector,
     SurfaceTopology,
-    combine,
     exp_even,
     format_multivector,
     grade_part,
@@ -23,15 +22,11 @@ from .exterior import (
 )
 from .indices import (
     BundleType,
-    Chamber,
-    ChamberParams,
     H2Class,
     QuotProblem,
     RuledSurfaceGeometry,
     abelian_v,
     canonical_class,
-    chamber_classify,
-    classify_tau,
     douady_index,
     euler_char,
     expected_dim,
@@ -53,7 +48,6 @@ from .invariants import (
     sw_equals_ggw_check,
     sw_for_class,
     sw_ruled,
-    theta_c,
 )
 from .picard import (
     KunnethClass,

@@ -50,13 +50,9 @@ def _parse_k0(pairs):
     return table
 
 
-def _form_arg(args, topo):
-    return parse_multivector(args.form, topo)
-
-
 def _cmd_ggw(args):
     topo = SurfaceTopology(args.genus)
-    l = _form_arg(args, topo)
+    l = parse_multivector(args.form, topo)
     value = 0 if args.chamber == "empty" else ggw_abelian(args.genus, args.r0, args.v, l)
     _emit(
         "ggw",
@@ -74,7 +70,7 @@ def _cmd_ggw(args):
 
 def _cmd_ggw_bundle(args):
     topo = SurfaceTopology(args.genus)
-    l = _form_arg(args, topo)
+    l = parse_multivector(args.form, topo)
     v = abelian_v(args.r0, args.deg_e, args.deg_e0, args.genus)
     value = 0 if args.chamber == "empty" else ggw_abelian(args.genus, args.r0, v, l)
     _emit(
@@ -94,7 +90,7 @@ def _cmd_ggw_bundle(args):
 
 def _cmd_sw(args):
     topo = SurfaceTopology(args.genus)
-    l = _form_arg(args, topo)
+    l = parse_multivector(args.form, topo)
     geom = RuledSurfaceGeometry(args.genus, args.deg_v0)
     res = sw_ruled(args.d, args.n, geom, l)
     plus = res.value_signed_chamber if res.sign > 0 else 0

@@ -17,12 +17,13 @@ from itertools import combinations
 __all__ = [
     "SurfaceTopology",
     "Multivector",
+    "merge_blades",
     "wedge",
-    "combine",
     "theta_class",
     "theta_divided_power",
     "exp_even",
     "top_pairing",
+    "pair_theta_powers",
     "grade_part",
     "parse_multivector",
     "format_multivector",
@@ -68,10 +69,12 @@ class SurfaceTopology:
         return tuple(range(self.rank))
 
 
-def _wedge_blades(x: Blade, y: Blade):
-    """Merge two strictly increasing blades; None if they share a generator.
+def merge_blades(x: tuple, y: tuple):
+    """Merge two strictly increasing tuples; None if they share an entry.
 
-    The sign is the parity of the shuffle moving y's entries into place.
+    The sign is the parity of the shuffle moving y's entries into place,
+    so the entries behave as anticommuting generators: blades here, odd
+    slant classes in the slant algebra.
     """
     if not x:
         return y, 1
@@ -162,9 +165,6 @@ class Multivector:
     def degrees(self):
         return {len(blade) for blade in self._terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def max_index(self) -> int:
         """Largest generator index used, -1 for scalars and zero."""
         return max((blade[-1] for blade in self._terms if blade), default=-1)
@@ -218,17 +218,12 @@ def wedge(x: Multivector, y: Multivector, topo: SurfaceTopology) -> Multivector:
     terms = {}
     for bx, cx in x._terms.items():
         for by, cy in y._terms.items():
-            hit = _wedge_blades(bx, by)
+            hit = merge_blades(bx, by)
             if hit is None:
                 continue
             blade, sign = hit
             terms[blade] = terms.get(blade, 0) + sign * cx * cy
     return Multivector(terms)
-
-
-def combine(c1: int, x: Multivector, c2: int, y: Multivector) -> Multivector:
-    """Integer linear combination c1*x + c2*y."""
-    return c1 * x + c2 * y
 
 
 def theta_class(topo: SurfaceTopology) -> Multivector:
@@ -301,6 +296,19 @@ def top_pairing(x: Multivector, topo: SurfaceTopology) -> int:
     """Coefficient of the orientation blade a1^b1^...^ag^bg."""
     _check_range(x, topo, "top_pairing")
     return x.coefficient(topo.top_blade())
+
+
+def pair_theta_powers(l: Multivector, topo: SurfaceTopology, scale: int, powers) -> int:
+    """Sum over i in powers of the top pairing of (scale*Theta)^i/i! with l.
+
+    The one kernel behind the closed forms: the count scales Theta by the
+    target rank, the Seiberg-Witten value by half the fibre pairing.  An
+    empty powers range pairs nothing, so l is not range-checked then.
+    """
+    return sum(
+        top_pairing(wedge(scale**i * theta_divided_power(topo, i), l, topo), topo)
+        for i in powers
+    )
 
 
 def grade_part(x: Multivector, k: int) -> Multivector:

@@ -1,28 +1,20 @@
-"""Index arithmetic: Riemann-Roch counts, chambers, ruled-surface classes.
+"""Index arithmetic: Riemann-Roch counts and ruled-surface classes.
 
 Dimension counts for maps from line bundles into a fixed bundle on a
-genus-g curve, the wall/chamber trichotomy for the abelian moduli
-problem, and the intersection ring of the projectivization of a rank-2
-bundle over the curve.  Everything is exact; the only non-integer in
-sight is the rational chamber parameter.
+genus-g curve, and the intersection ring of the projectivization of a
+rank-2 bundle over the curve.  Everything is exact integer arithmetic.
 """
 
-import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "BundleType",
     "QuotProblem",
-    "ChamberParams",
-    "Chamber",
     "RuledSurfaceGeometry",
     "H2Class",
     "euler_char",
     "expected_dim",
     "abelian_v",
-    "chamber_classify",
-    "classify_tau",
     "intersect",
     "canonical_class",
     "spinc_det",
@@ -56,35 +48,6 @@ class QuotProblem:
             raise ValueError("genus must be nonnegative")
 
 
-class Chamber(enum.Enum):
-    EMPTY_CHAMBER = "empty"
-    INTERESTING_CHAMBER = "interesting"
-    WALL = "wall"
-
-
-@dataclass(frozen=True)
-class ChamberParams:
-    """Perturbation data for the abelian (rank-1 kernel) problem.
-
-    t is the moment-map shift measured in units of 2*pi, so the wall
-    comparison t*volume/(2*pi) against -degree is the exact rational
-    t * volume.  Callers holding that rational directly can use
-    classify_tau instead.
-    """
-
-    t: Fraction
-    volume: Fraction
-    kernel: BundleType
-
-    def __post_init__(self):
-        if self.volume <= 0:
-            raise ValueError("volume must be positive")
-
-    @property
-    def tau(self) -> Fraction:
-        return Fraction(self.t) * Fraction(self.volume)
-
-
 def euler_char(b: BundleType, genus: int) -> int:
     """Holomorphic Euler characteristic d + r(1-g)."""
     if genus < 0:
@@ -106,23 +69,6 @@ def abelian_v(r0: int, d: int, d0: int, genus: int) -> int:
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     return d0 - r0 * d + (r0 - 1) * (1 - genus)
-
-
-def classify_tau(tau: Fraction, kernel: BundleType) -> Chamber:
-    """Chamber of the exact rational tau = t*volume/(2*pi), rank-1 only."""
-    if kernel.rank != 1:
-        raise NotImplementedError("chamber structure for rank > 1 kernels is out of scope")
-    threshold = -kernel.degree
-    if tau > threshold:
-        return Chamber.INTERESTING_CHAMBER
-    if tau < threshold:
-        return Chamber.EMPTY_CHAMBER
-    return Chamber.WALL
-
-
-def chamber_classify(params: ChamberParams) -> Chamber:
-    """Compare t against the wall at -2*pi*degree/volume, exactly."""
-    return classify_tau(params.tau, params.kernel)
 
 
 @dataclass(frozen=True)
@@ -199,5 +145,6 @@ def douady_index(m: H2Class, geom: RuledSurfaceGeometry) -> int:
     """Expected dimension m(m - K)/2 of the divisor moduli problem."""
     val = intersect(m, m - canonical_class(geom), geom)
     # integral classes on these geometries always give an even product
-    assert val % 2 == 0, f"odd intersection number {val} for {m}"
+    if val % 2:
+        raise ArithmeticError(f"odd intersection number {val} for {m}")
     return val // 2

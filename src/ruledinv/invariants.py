@@ -10,14 +10,7 @@ with the scale read off the fibre pairing of the determinant class.
 
 from dataclasses import dataclass
 
-from .exterior import (
-    Multivector,
-    SurfaceTopology,
-    theta_class,
-    theta_divided_power,
-    top_pairing,
-    wedge,
-)
+from .exterior import Multivector, SurfaceTopology, pair_theta_powers
 from .indices import (
     H2Class,
     RuledSurfaceGeometry,
@@ -30,7 +23,6 @@ from .indices import (
 __all__ = [
     "ggw_abelian",
     "quot_count",
-    "theta_c",
     "SWResult",
     "sw_for_class",
     "sw_ruled",
@@ -50,12 +42,8 @@ def ggw_abelian(genus: int, r0: int, v: int, l: Multivector) -> int:
         raise ValueError("genus must be nonnegative")
     if r0 < 1:
         raise ValueError("target rank must be >= 1")
-    topo = SurfaceTopology(genus)
-    total = 0
-    for i in range(max(0, genus - v), genus + 1):
-        block = r0**i * theta_divided_power(topo, i)
-        total += top_pairing(wedge(block, l, topo), topo)
-    return total
+    powers = range(max(0, genus - v), genus + 1)
+    return pair_theta_powers(l, SurfaceTopology(genus), r0, powers)
 
 
 def quot_count(genus: int, r0: int) -> int:
@@ -65,13 +53,6 @@ def quot_count(genus: int, r0: int) -> int:
     if r0 < 1:
         raise ValueError("target rank must be >= 1")
     return r0**genus
-
-
-def theta_c(pair_with_fibre: int, topo: SurfaceTopology) -> Multivector:
-    """Half the fibre pairing times Theta; the pairing must be even."""
-    if pair_with_fibre % 2:
-        raise ValueError(f"fibre pairing {pair_with_fibre} is odd")
-    return (pair_with_fibre // 2) * theta_class(topo)
 
 
 @dataclass(frozen=True)
@@ -94,7 +75,6 @@ class SWResult:
 def sw_for_class(c: H2Class, geom: RuledSurfaceGeometry, l: Multivector) -> SWResult:
     """Seiberg-Witten values for an arbitrary characteristic class c."""
     genus = geom.genus
-    topo = SurfaceTopology(genus)
     pair = intersect(c, FIBRE, geom)
     w_c = index_wc(c, geom)
     if pair == 0:
@@ -104,11 +84,8 @@ def sw_for_class(c: H2Class, geom: RuledSurfaceGeometry, l: Multivector) -> SWRe
     if w_c % 2:
         raise ValueError(f"index {w_c} is odd; cannot halve for the truncation bound")
     sign = 1 if pair > 0 else -1
-    h = pair // 2
-    total = 0
-    for i in range(max(0, genus - w_c // 2), genus + 1):
-        block = h**i * theta_divided_power(topo, i)
-        total += top_pairing(wedge(block, l, topo), topo)
+    powers = range(max(0, genus - w_c // 2), genus + 1)
+    total = pair_theta_powers(l, SurfaceTopology(genus), pair // 2, powers)
     return SWResult(sign, sign * total, 0, w_c, c, pair)
 
 
@@ -131,5 +108,6 @@ def sw_equals_ggw_check(d: int, n: int, geom: RuledSurfaceGeometry, l: Multivect
     v = abelian_v(r0, -d, d0_eff, geom.genus)
     res = sw_ruled(d, n, geom, l)
     # the index dictionary must agree before the values can
-    assert res.w_c == 2 * v, (res.w_c, v)
+    if res.w_c != 2 * v:
+        raise ArithmeticError((res.w_c, v))
     return res.value_signed_chamber == res.sign * ggw_abelian(geom.genus, r0, v, l)

@@ -296,7 +296,7 @@ def ggw_via_segre(
     (d' <= min(-1, d0) - 2g, a conservative bound) and that the section
     count k = r0*aux_twist - d0 is nonnegative.  The bookkeeping
     identity (g + N) - k = v ties the Segre index to the closed form's
-    truncation and is asserted.
+    truncation and is checked.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -313,7 +313,8 @@ def ggw_via_segre(
         raise ValueError(f"aux_twist {aux_twist} gives negative section count {k}")
     big_n = r0 * (1 - genus - dprime) - 1
     v = abelian_v(r0, d, d0, genus)
-    assert genus + big_n - k == v, (genus, big_n, k, v)
+    if genus + big_n - k != v:
+        raise ArithmeticError((genus, big_n, k, v))
 
     topo = SurfaceTopology(genus)
     series = _pushforward_segre(genus, r0, dprime)

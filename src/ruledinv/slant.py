@@ -39,7 +39,7 @@ emits, so printing parses back.
 import re
 from dataclasses import dataclass, field
 
-from .exterior import Multivector, SurfaceTopology, theta_divided_power, top_pairing, wedge
+from .exterior import Multivector, SurfaceTopology, merge_blades, pair_theta_powers
 
 __all__ = [
     "AlgebraContext",
@@ -275,31 +275,6 @@ def parse_expr(text: str, ctx: AlgebraContext):
 # -- normal forms ------------------------------------------------------------
 
 
-def _merge_odd(x, y):
-    """Merge sorted G-tuples with the anticommutation sign; None on repeats."""
-    if not x:
-        return y, 1
-    if not y:
-        return x, 1
-    merged = []
-    parity = 0
-    i = j = 0
-    nx, ny = len(x), len(y)
-    while i < nx and j < ny:
-        if x[i] == y[j]:
-            return None
-        if x[i] < y[j]:
-            merged.append(x[i])
-            i += 1
-        else:
-            merged.append(y[j])
-            j += 1
-            parity ^= (nx - i) & 1
-    merged.extend(x[i:])
-    merged.extend(y[j:])
-    return tuple(merged), (-1 if parity else 1)
-
-
 class NormalForm:
     """Integer combination of normal monomials over a fixed context shape.
 
@@ -378,7 +353,7 @@ class NormalForm:
         terms = {}
         for (u1, v1, o1), c1 in self.terms.items():
             for (u2, v2, o2), c2 in other.terms.items():
-                hit = _merge_odd(o1, o2)
+                hit = merge_blades(o1, o2)
                 if hit is None:
                     continue
                 odd, sign = hit
@@ -564,6 +539,5 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
         if not 0 <= idx <= genus:
             continue
         blade = Multivector.blade([j - 1 for _, j in odd])
-        block = r0**idx * theta_divided_power(topo, idx)
-        total += coeff * top_pairing(wedge(block, blade, topo), topo)
+        total += coeff * pair_theta_powers(blade, topo, r0, (idx,))
     return total

@@ -1,7 +1,13 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ruledinv
 from ruledinv import checks
 from ruledinv.cli import main
 
@@ -170,3 +176,42 @@ def test_check_failure_exits_1(capsys, monkeypatch):
     result = json.loads(out)["result"]
     assert result["passed"] is False
     assert result["grids"][0]["first_counterexample"] == {"genus": 1}
+
+
+# -- invariant checks survive python -O --------------------------------------
+
+PACKAGE = Path(ruledinv.__file__).resolve().parent
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert; invariants in src/ must raise explicitly
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--max-genus", "2", "--max-r0", "2", "--max-deg", "1"],
+        ["sw", "--genus", "1", "--d", "1", "--n", "1", "--deg-v0", "0"],
+    ],
+)
+def test_optimized_interpreter_gives_same_bytes(argv):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+
+    def cli(*flags):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "ruledinv", *argv],
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    plain = cli()
+    assert plain[0] == 0 and plain[1]
+    assert cli("-O") == plain

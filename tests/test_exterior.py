@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from ruledinv.exterior import (
     Multivector,
     SurfaceTopology,
-    combine,
     exp_even,
     format_multivector,
     grade_part,
@@ -87,12 +86,6 @@ def test_grade_part_picks_components():
     assert grade_part(x, 1).is_zero()
     with pytest.raises(ValueError):
         grade_part(x, -1)
-
-
-def test_combine_is_linear():
-    x = Multivector.blade([0, 1])
-    y = Multivector.scalar(1)
-    assert combine(2, x, -3, y) == Multivector({(0, 1): 2, (): -3})
 
 
 def test_blade_constructor_sorts_with_sign():

@@ -1,20 +1,14 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ruledinv.indices import (
     BundleType,
-    Chamber,
-    ChamberParams,
     H2Class,
     QuotProblem,
     RuledSurfaceGeometry,
     abelian_v,
     canonical_class,
-    chamber_classify,
-    classify_tau,
     douady_index,
     euler_char,
     expected_dim,
@@ -64,31 +58,6 @@ def test_validation_errors():
         abelian_v(0, 0, 0, 1)
     with pytest.raises(ValueError):
         euler_char(BundleType(1, 0), -2)
-
-
-# -- chambers ----------------------------------------------------------------
-
-
-def test_chamber_trichotomy_examples():
-    line = lambda d: BundleType(1, d)
-    assert classify_tau(Fraction(0), line(-3)) == Chamber.EMPTY_CHAMBER
-    assert classify_tau(Fraction(1), line(0)) == Chamber.INTERESTING_CHAMBER
-    assert classify_tau(Fraction(3), line(-3)) == Chamber.WALL
-
-
-def test_chamber_params_use_exact_rationals():
-    # tau = t * volume lands exactly on the wall; no float drift allowed
-    params = ChamberParams(Fraction(3, 7), Fraction(7), BundleType(1, -3))
-    assert chamber_classify(params) == Chamber.WALL
-    nudged = ChamberParams(Fraction(3, 7) + Fraction(1, 10**12), Fraction(7), BundleType(1, -3))
-    assert chamber_classify(nudged) == Chamber.INTERESTING_CHAMBER
-
-
-def test_chamber_rank_restriction_and_volume():
-    with pytest.raises(NotImplementedError):
-        classify_tau(Fraction(0), BundleType(2, 0))
-    with pytest.raises(ValueError):
-        ChamberParams(Fraction(1), Fraction(0), BundleType(1, 0))
 
 
 # -- ruled surface intersection ring ----------------------------------------

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruledinv.exterior import Multivector, SurfaceTopology, grade_part, theta_class
+from ruledinv.exterior import Multivector, SurfaceTopology, theta_class
 from ruledinv.indices import H2Class, RuledSurfaceGeometry
 from ruledinv.invariants import (
     ggw_abelian,
@@ -10,7 +10,6 @@ from ruledinv.invariants import (
     sw_equals_ggw_check,
     sw_for_class,
     sw_ruled,
-    theta_c,
 )
 
 ONE = Multivector.scalar(1)
@@ -53,6 +52,8 @@ def test_ggw_input_validation():
         ggw_abelian(1, 0, 0, ONE)
     with pytest.raises(ValueError):
         ggw_abelian(1, 2, 0, Multivector.generator(5))
+    # v < 0 pairs no theta power, so l is never range-checked
+    assert ggw_abelian(1, 2, -1, Multivector.generator(5)) == 0
 
 
 @given(st.integers(0, 4), st.integers(1, 4), st.integers(-2, 8))
@@ -96,54 +97,6 @@ def test_quot_count_validation():
         quot_count(-1, 2)
     with pytest.raises(ValueError):
         quot_count(2, 0)
-
-
-# -- theta_c against brute-force expansion in the surface ring ---------------
-
-
-def _inter(i, j):
-    # symplectic pairing of the odd basis: (a_k, b_k) pairs to +1
-    if j == i + 1 and i % 2 == 1:
-        return 1
-    if i == j + 1 and j % 2 == 1:
-        return -1
-    return 0
-
-
-def _triple_top(x, y, i, j, geom):
-    """Top coefficient of (x*s + y*f) ^ alpha_i ^ alpha_j, expanded symbolically.
-
-    Ring rules on the ruled surface: alpha_i ^ alpha_j = inter(i,j) * f
-    (pullbacks multiply on the curve), f ^ f = 0, s ^ f = top,
-    s ^ s = d0 * top.  One place implements it; runtime code never does.
-    """
-    two_form = {"f": _inter(i, j)}
-    total = 0
-    total += x * geom.v0_degree * two_form.get("s", 0)
-    total += x * two_form.get("f", 0) + y * two_form.get("s", 0)
-    return total
-
-
-def test_theta_c_example_and_parity():
-    topo = SurfaceTopology(1)
-    assert theta_c(4, topo) == 2 * theta_class(topo)
-    assert theta_c(0, topo).is_zero()
-    with pytest.raises(ValueError):
-        theta_c(3, topo)
-
-
-@given(st.integers(-6, 6), st.integers(-5, 5), st.integers(0, 3), st.integers(-4, 4))
-def test_theta_c_matches_symbolic_expansion(half_pair, y, genus, d0):
-    pair = 2 * half_pair
-    geom = RuledSurfaceGeometry(genus, d0)
-    topo = SurfaceTopology(genus)
-    form = theta_c(pair, topo)
-    for i in range(1, 2 * genus + 1):
-        for j in range(i + 1, 2 * genus + 1):
-            coeff = form.coefficient((i - 1, j - 1))
-            top = _triple_top(pair, y, i, j, geom)
-            assert top % 2 == 0
-            assert coeff == top // 2
 
 
 # -- Seiberg-Witten values ---------------------------------------------------

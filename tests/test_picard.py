@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruledinv.exterior import Multivector, SurfaceTopology, theta_class
-from ruledinv.indices import BundleType, abelian_v, euler_char
-from ruledinv.invariants import ggw_abelian
+from ruledinv.indices import BundleType, RuledSurfaceGeometry, abelian_v, euler_char
+from ruledinv.invariants import ggw_abelian, sw_ruled
 from ruledinv.picard import (
     KunnethClass,
     ThetaSeries,
@@ -18,6 +20,7 @@ from ruledinv.picard import (
     poincare_chern,
     segre_series,
 )
+from ruledinv.slant import AlgebraContext, evaluate_abelian, normalize, parse_expr
 
 ONE = Multivector.scalar(1)
 
@@ -239,3 +242,109 @@ def test_segre_route_matches_closed_form(genus, r0, d, d0, extra):
     v = abelian_v(r0, d, d0, genus)
     for l in picks:
         assert ggw_via_segre(genus, r0, d, d0, t, l) == ggw_abelian(genus, r0, v, l)
+
+
+# -- the oracle past the grids' genus bound ----------------------------------
+#
+# The check grids stop at genus 4 and pair only basis monomials.  Here
+# the closed forms meet the Segre route at genus 5..7 on handle blades
+# (the only blades with a nonzero pairing), odd and non-handle blades
+# (which must pair to 0), and dense forms with 60-bit coefficients.
+
+LONG_GENERA = (5, 6, 7)
+
+
+def handle_blade(topo, handles):
+    return Multivector.blade([i for h in handles for i in (topo.a(h), topo.b(h))])
+
+
+def long_forms(genus):
+    topo = SurfaceTopology(genus)
+    rng = random.Random(genus)
+    forms = [handle_blade(topo, range(1, m + 1)) for m in range(genus + 1)]
+    forms.append(handle_blade(topo, (2, genus)))
+    forms.append(Multivector.blade((topo.a(1), topo.b(2))))  # even, not a handle blade
+    forms.append(Multivector.blade((topo.a(1), topo.b(1), topo.a(3))))  # odd grade
+    for _ in range(2):
+        dense = {}
+        for m in range(genus + 1):
+            handles = rng.sample(range(1, genus + 1), m)
+            blade = tuple(sorted(i for h in handles for i in (topo.a(h), topo.b(h))))
+            dense[blade] = rng.randrange(-(2**60), 2**60)
+        for _ in range(12):
+            blade = tuple(sorted(rng.sample(range(topo.rank), rng.randint(1, topo.rank))))
+            dense[blade] = rng.randrange(-(2**60), 2**60)
+        forms.append(Multivector(dense))
+    return forms
+
+
+def segre_at(genus, r0, w, l):
+    """Oracle count with abelian index w, through kernel degree 0."""
+    d0 = w - (r0 - 1) * (1 - genus)
+    assert abelian_v(r0, 0, d0, genus) == w
+    return ggw_via_segre(genus, r0, 0, d0, min_valid_aux_twist(genus, r0, 0, d0), l)
+
+
+@pytest.mark.parametrize("genus", LONG_GENERA)
+def test_closed_count_matches_oracle_past_grid_genus(genus):
+    nonzero = 0
+    for r0 in (1, 2, 3):
+        for v, d in product((-1, 0, 1, 2, genus // 2, genus, genus + 1), (-1, 2)):
+            d0 = v + r0 * d - (r0 - 1) * (1 - genus)
+            assert abelian_v(r0, d, d0, genus) == v
+            twist = min_valid_aux_twist(genus, r0, d, d0)
+            for l in long_forms(genus):
+                want = ggw_via_segre(genus, r0, d, d0, twist, l)
+                assert ggw_abelian(genus, r0, v, l) == want
+                nonzero += want != 0
+    assert nonzero >= 200
+
+
+@pytest.mark.parametrize("genus", LONG_GENERA)
+def test_sw_matches_oracle_past_grid_genus(genus):
+    nonzero = 0
+    for v0 in (-1, 0, 1):
+        geom = RuledSurfaceGeometry(genus, v0)
+        for n in (0, 1, 2):
+            d0_eff = n * (n + 1) * v0 // 2
+            for d in range(-3 * genus, 3 * genus):
+                v = abelian_v(n + 1, -d, d0_eff, genus)
+                if not -1 <= v <= genus + 1:
+                    continue
+                for l in long_forms(genus):
+                    res = sw_ruled(d, n, geom, l)
+                    want = segre_at(genus, n + 1, v, l)
+                    assert res.value_signed_chamber == want
+                    nonzero += want != 0
+                assert res.sign == 1 and res.value_opposite_chamber == 0
+    assert nonzero >= 200
+
+
+@pytest.mark.parametrize("genus", LONG_GENERA)
+def test_evaluate_matches_oracle_past_grid_genus(genus):
+    # u1^a * (odd blade) at index v pairs like the top term of the count at
+    # index v - a, which is the count at v - a minus the count at v - a - 1
+    ctx = AlgebraContext(r=1, genus=genus)
+    rng = random.Random(100 + genus)
+    odd_sets = [(), (1, 2), (1, 2, 2 * genus - 1, 2 * genus), (3,), (1, 4)]
+    odd_sets += [tuple(range(1, 2 * m + 1)) for m in range(2, genus + 1)]
+    terms = []
+    for odd in odd_sets:
+        for a in range(3):
+            factors = [f"u1^{a}"] + [f"G[1,{j}]" for j in odd]
+            terms.append(f"{rng.randrange(1, 2**60)}*" + "*".join(factors))
+    nonzero = 0
+    for text in terms + [" - ".join(terms)]:
+        nf = normalize(parse_expr(text, ctx), ctx)
+        for r0 in (1, 2, 3):
+            for v in range(-1, genus + 3):
+                want = 0
+                for (u, _, odd), coeff in nf.terms.items():
+                    blade = Multivector({tuple(j - 1 for _, j in odd): 1})
+                    w = v - u[0]
+                    want += coeff * (
+                        segre_at(genus, r0, w, blade) - segre_at(genus, r0, w - 1, blade)
+                    )
+                assert evaluate_abelian(nf, genus, r0, v) == want
+                nonzero += want != 0
+    assert nonzero >= 80
