@@ -305,10 +305,11 @@ def pair_theta_powers(l: Multivector, topo: SurfaceTopology, scale: int, powers)
     target rank, the Seiberg-Witten value by half the fibre pairing.  An
     empty powers range pairs nothing, so l is not range-checked then.
     """
-    return sum(
-        top_pairing(wedge(scale**i * theta_divided_power(topo, i), l, topo), topo)
-        for i in powers
-    )
+    total = 0
+    for i in powers:
+        block = scale**i * theta_divided_power(topo, i)
+        total += top_pairing(wedge(block, l, topo), topo)
+    return total
 
 
 def grade_part(x: Multivector, k: int) -> Multivector:
