@@ -30,10 +30,6 @@ class CheckReport:
     failures: int
     first_counterexample: dict | None
 
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
 
 def basis_monomials(topo: SurfaceTopology):
     """All 2^(2g) basis blades of the exterior algebra, grade order."""

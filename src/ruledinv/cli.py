@@ -12,7 +12,7 @@ import json
 import sys
 
 from .checks import run_all
-from .exterior import SurfaceTopology, format_multivector, parse_multivector
+from .exterior import SurfaceTopology, format_int, format_multivector, parse_multivector
 from .indices import RuledSurfaceGeometry, abelian_v
 from .invariants import ggw_abelian, quot_count, sw_ruled
 from .slant import AlgebraContext, evaluate_abelian, normalize, parse_expr, print_normal
@@ -24,7 +24,7 @@ def _safe(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
-        return str(obj) if abs(obj) > _SAFE_MAX else obj
+        return format_int(obj) if abs(obj) > _SAFE_MAX else obj
     if isinstance(obj, dict):
         return {k: _safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -10,6 +10,8 @@ Generators carry flat indices 0..2g-1 with a_k at 2(k-1) and b_k at
 2(k-1)+1; a blade is a strictly increasing tuple of such indices.
 """
 
+import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -25,6 +27,7 @@ __all__ = [
     "top_pairing",
     "pair_theta_powers",
     "grade_part",
+    "TextSyntaxError",
     "parse_multivector",
     "format_multivector",
 ]
@@ -319,134 +322,186 @@ def grade_part(x: Multivector, k: int) -> Multivector:
     return Multivector({b: c for b, c in x._terms.items() if len(b) == k})
 
 
-# -- text form ---------------------------------------------------------------
+# -- text front end ----------------------------------------------------------
+#
+# Forms and slant expressions (slant.py) share one tokenizer, one token
+# cursor and one term printer.  Tokens are integers, words (a letter or
+# '_', then letters, digits or '_') and the symbols < > | ( ) . , + - * ^
+# [ ]; whitespace between them is ignored.  Malformed text raises
+# TextSyntaxError, a ValueError ending in "at position N" with N the
+# offset of the offending character.  Integer literals and printed
+# integers stay within the interpreter's digit limit (4300 by default).
 #
 #   form  := ['+'|'-'] term (('+'|'-') term)*
 #   term  := integer ['*' blade] | blade
 #   blade := gen ('^' gen)*
 #   gen   := ('a'|'b') index          with 1 <= index <= genus
 
-_GEN_TOKEN = "gen"
-_INT_TOKEN = "int"
+
+class TextSyntaxError(ValueError):
+    """Malformed text; position is the offset of the offending character."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} at position {position}")
+        self.position = position
 
 
-def _scan_form(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append((_INT_TOKEN, int(text[i:j]), i))
-            i = j
-            continue
-        if ch in "ab":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ValueError(f"multivector syntax error at position {i}: bare '{ch}'")
-            tokens.append((_GEN_TOKEN, (ch, int(text[i + 1 : j])), i))
-            i = j
-            continue
-        raise ValueError(f"multivector syntax error at position {i}: unexpected {ch!r}")
-    return tokens
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<word>[A-Za-z_][A-Za-z_\d]*)|(?P<sym>[<>|().,+\-*^\[\]])|(?P<bad>\S))"
+)
+_WORD_SPLIT = re.compile(r"^([A-Za-z]+?)(\d+)$")
+
+
+class TokenCursor:
+    """Tokens (kind, value, position) of one text and a read position.
+
+    kind is "int", "word", "eof" or the symbol.  Parsers subclass this and
+    set error to their own TextSyntaxError subclass.
+    """
+
+    error = TextSyntaxError
+
+    def __init__(self, text: str):
+        self.tokens = self._scan(text)
+        self.tokens.append(("eof", None, len(text)))
+        self.pos = 0
+
+    def _scan(self, text: str):
+        # no int or word may outgrow the digit limit, so int() of its digits succeeds
+        limit = sys.get_int_max_str_digits()
+        tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            value, at = m.group(kind), m.start(kind)
+            if kind == "bad":
+                raise self.error(f"unexpected character {value!r}", at)
+            if kind in ("int", "word") and 0 < limit < len(value):
+                raise self.error(f"{kind} longer than the {limit}-digit limit", at)
+            if kind == "int":
+                value = int(value)
+            elif kind == "sym":
+                kind = value
+            tokens.append((kind, value, at))
+        return tokens
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def at(self, kind):
+        return self.peek()[0] == kind
+
+    def check_index(self, what, value, hi, position):
+        if not 1 <= value <= hi:
+            raise self.error(f"{what} index {value} out of range 1..{hi}", position)
+
+    def split_word(self, tok):
+        """(letters, index) of a word like 'c12'; (None, None) for any other token."""
+        m = _WORD_SPLIT.match(tok[1]) if tok[0] == "word" else None
+        if m:
+            return m.group(1), int(m.group(2))
+        return None, None
+
+    def signed_terms(self, term):
+        """['+'|'-'] term (('+'|'-') term)* as a list of (sign, term())."""
+        terms = []
+        while True:
+            kind = self.peek()[0]
+            if kind in ("+", "-"):
+                self.pos += 1
+            elif terms:
+                # only the first term may go without a sign
+                return terms
+            terms.append((-1 if kind == "-" else 1, term()))
+
+    def finish(self, node):
+        """node, once the whole text has been read; trailing input is an error."""
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise self.error(f"trailing input {tok[1]!r}", tok[2])
+        return node
+
+
+def format_int(n: int) -> str:
+    """Decimal text of n; past the interpreter's digit limit a ValueError naming it."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"integer has more than {limit} decimal digits") from None
+
+
+def format_terms(terms) -> str:
+    """Join (body, coeff) pairs as 'c*body', a coefficient of +-1 as a sign.
+
+    A body of "" stands for a scalar; no terms at all print as "0".
+    """
+    text = ""
+    for body, coeff in terms:
+        if text:
+            text += " - " if coeff < 0 else " + "
+        elif coeff < 0:
+            text = "-"
+        if not body:
+            text += format_int(abs(coeff))
+        elif abs(coeff) == 1:
+            text += body
+        else:
+            text += f"{format_int(abs(coeff))}*{body}"
+    return text or "0"
+
+
+class _FormParser(TokenCursor):
+    def __init__(self, text: str, topo: SurfaceTopology):
+        super().__init__(text)
+        self.topo = topo
+
+    def term(self):
+        if not self.at("int"):
+            return Multivector.blade(self.blade())
+        coeff = self.take("int")[1]
+        if not self.at("*"):
+            return Multivector.scalar(coeff)
+        self.take("*")
+        return Multivector.blade(self.blade(), coeff)
+
+    def blade(self):
+        indices = [self.gen()]
+        while self.at("^"):
+            self.take("^")
+            indices.append(self.gen())
+        return indices
+
+    def gen(self):
+        tok = self.peek()
+        letters, k = self.split_word(tok)
+        if letters not in ("a", "b"):
+            raise self.error(f"expected a generator, found {tok[1]!r}", tok[2])
+        self.check_index(f"generator {tok[1]}", k, self.topo.genus, tok[2])
+        self.take("word")
+        return self.topo.a(k) if letters == "a" else self.topo.b(k)
 
 
 def parse_multivector(text: str, topo: SurfaceTopology) -> Multivector:
     """Parse text like '2*a1^b1 - a2^b2 + 3' into a multivector."""
-    tokens = _scan_form(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
-
-    def gen_index(letter, k, at):
-        if not 1 <= k <= topo.genus:
-            raise ValueError(
-                f"multivector index out of range at position {at}: "
-                f"{letter}{k} needs genus >= {k}, have {topo.genus}"
-            )
-        return topo.a(k) if letter == "a" else topo.b(k)
-
-    def parse_blade():
-        nonlocal pos
-        kind, val, at = peek()
-        if kind != _GEN_TOKEN:
-            raise ValueError(f"multivector syntax error at position {at}: expected generator")
-        pos += 1
-        indices = [gen_index(*val, at)]
-        while peek()[0] == "^":
-            pos += 1
-            kind, val, at = peek()
-            if kind != _GEN_TOKEN:
-                raise ValueError(
-                    f"multivector syntax error at position {at}: expected generator after '^'"
-                )
-            pos += 1
-            indices.append(gen_index(*val, at))
-        return indices
-
-    def parse_term():
-        nonlocal pos
-        kind, val, at = peek()
-        if kind == _INT_TOKEN:
-            pos += 1
-            if peek()[0] == "*":
-                pos += 1
-                return Multivector.blade(parse_blade(), val)
-            return Multivector.scalar(val)
-        if kind == _GEN_TOKEN:
-            return Multivector.blade(parse_blade())
-        raise ValueError(f"multivector syntax error at position {at}: expected term")
-
-    result = Multivector.zero()
-    sign = 1
-    kind, _, _ = peek()
-    if kind in ("+", "-"):
-        sign = -1 if kind == "-" else 1
-        pos += 1
-    result = result + sign * parse_term()
-    while pos < len(tokens):
-        kind, _, at = peek()
-        if kind not in ("+", "-"):
-            raise ValueError(f"multivector syntax error at position {at}: expected '+' or '-'")
-        pos += 1
-        sign = -1 if kind == "-" else 1
-        result = result + sign * parse_term()
-    return result
+    parser = _FormParser(text, topo)
+    # accumulate in one dict; repeated + copies once per term
+    terms = {}
+    for sign, term in parser.signed_terms(parser.term):
+        for blade, coeff in term._terms.items():
+            terms[blade] = terms.get(blade, 0) + sign * coeff
+    return parser.finish(Multivector(terms))
 
 
 def format_multivector(x: Multivector, topo: SurfaceTopology) -> str:
     """Canonical text form, parseable by parse_multivector."""
     _check_range(x, topo, "format_multivector")
-    if x.is_zero():
-        return "0"
-    chunks = []
-    for blade, coeff in x.items():
-        if blade:
-            body = "^".join(topo.generator_name(i) for i in blade)
-            if coeff == 1:
-                term = body
-            elif coeff == -1:
-                term = f"-{body}"
-            else:
-                term = f"{coeff}*{body}"
-        else:
-            term = str(coeff)
-        if not chunks:
-            chunks.append(term)
-        elif term.startswith("-"):
-            chunks.append(f"- {term[1:]}")
-        else:
-            chunks.append(f"+ {term}")
-    return " ".join(chunks)
+    return format_terms(
+        ("^".join(topo.generator_name(i) for i in blade), coeff) for blade, coeff in x.items()
+    )

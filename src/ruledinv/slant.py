@@ -20,7 +20,9 @@ over pt and the odd classes.
 Everything in scope has even cup degree, so the printed signs collapse
 to +1; the code keeps them literal anyway.
 
-Accepted syntax (whitespace-insensitive):
+Accepted syntax (whitespace-insensitive), read by the tokenizer that
+exterior's forms use too; malformed text raises SlantSyntaxError, whose
+message ends in "at position N":
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
@@ -33,13 +35,15 @@ Accepted syntax (whitespace-insensitive):
     base   := 'pt' | 'S' | 'g' index
 
 The u/v/G forms and the optional leading sign are what print_normal
-emits, so printing parses back.
+emits, so printing parses back.  At most MAX_NESTING parentheses nest,
+'^' follow one primary and atoms share one cup; deeper text is a syntax
+error rather than a stack overflow in parsing or normalizing.
 """
 
-import re
 from dataclasses import dataclass, field
 
 from .exterior import Multivector, SurfaceTopology, merge_blades, pair_theta_powers
+from .exterior import TextSyntaxError, TokenCursor, format_terms
 
 __all__ = [
     "AlgebraContext",
@@ -86,87 +90,27 @@ class AlgebraContext:
 #                           base: ("pt",) | ("sigma",) | ("gamma", j)
 
 
-class SlantSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
+MAX_NESTING = 100
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[<>|().,+\-*^\[\]]))"
-)
-_WORD_SPLIT = re.compile(r"^([A-Za-z]+?)(\d+)$")
+class SlantSyntaxError(TextSyntaxError):
+    """Malformed slant expression; position is where the text goes wrong."""
 
 
-def _scan(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise SlantSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("word") is not None:
-            tokens.append(("word", m.group("word"), m.start("word")))
-        else:
-            tokens.append((m.group("sym"), m.group("sym"), m.start("sym")))
-        pos = m.end()
-    return tokens
+class _Parser(TokenCursor):
+    error = SlantSyntaxError
 
-
-class _Parser:
     def __init__(self, text: str, ctx: AlgebraContext):
-        self.text = text
+        super().__init__(text)
         self.ctx = ctx
-        self.tokens = _scan(text)
-        self.pos = 0
+        self.depth = 0
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("eof", None, len(self.text))
-
-    def take(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise SlantSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def at(self, kind):
-        return self.peek()[0] == kind
-
-    def check_index(self, what, value, hi, position):
-        if not 1 <= value <= hi:
-            raise SlantSyntaxError(f"{what} index {value} out of range 1..{hi}", position)
-
-    def split_word(self, tok):
-        m = _WORD_SPLIT.match(tok[1])
-        if m:
-            return m.group(1), int(m.group(2)), tok[2]
-        return tok[1], None, tok[2]
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise SlantSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        return node
+    def check_nesting(self, count, what, tok):
+        if count > MAX_NESTING:
+            raise SlantSyntaxError(f"more than {MAX_NESTING} {what}", tok[2])
 
     def expr(self):
-        terms = []
-        sign = 1
-        if self.at("+") or self.at("-"):
-            sign = -1 if self.take(self.peek()[0])[0] == "-" else 1
-        terms.append((sign, self.term()))
-        while self.at("+") or self.at("-"):
-            sign = -1 if self.take(self.peek()[0])[0] == "-" else 1
-            terms.append((sign, self.term()))
+        terms = self.signed_terms(self.term)
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]
         return ("add", tuple(terms))
@@ -182,8 +126,10 @@ class _Parser:
 
     def factor(self):
         node = self.primary()
+        powers = 0
         while self.at("^"):
-            self.take("^")
+            powers += 1
+            self.check_nesting(powers, "'^' in a row", self.take("^"))
             node = ("pow", node, self.take("int")[1])
         return node
 
@@ -193,32 +139,29 @@ class _Parser:
             self.take("int")
             return ("int", tok[1])
         if tok[0] == "(":
-            self.take("(")
+            self.depth += 1
+            self.check_nesting(self.depth, "nested parentheses", self.take("("))
             node = self.expr()
             self.take(")")
+            self.depth -= 1
             return node
         if tok[0] == "<":
             return self.slant()
-        if tok[0] == "word":
-            letters, num, at = self.split_word(tok)
-            if letters == "u" and num is not None:
-                self.take("word")
-                self.check_index("chern", num, self.ctx.r, at)
-                return ("slant", (("c", num),), ("pt",))
-            if letters == "v" and num is not None:
-                self.take("word")
-                self.check_index("chern", num, self.ctx.r, at)
-                return ("slant", (("c", num),), ("sigma",))
-            if tok[1] == "G":
-                self.take("word")
-                self.take("[")
-                i_tok = self.take("int")
-                self.check_index("chern", i_tok[1], self.ctx.r, i_tok[2])
-                self.take(",")
-                j_tok = self.take("int")
-                self.check_index("odd", j_tok[1], 2 * self.ctx.genus, j_tok[2])
-                self.take("]")
-                return ("slant", (("c", i_tok[1]),), ("gamma", j_tok[1]))
+        letters, num = self.split_word(tok)
+        if letters in ("u", "v"):
+            self.take("word")
+            self.check_index("chern", num, self.ctx.r, tok[2])
+            return ("slant", (("c", num),), ("pt",) if letters == "u" else ("sigma",))
+        if tok[1] == "G":
+            self.take("word")
+            self.take("[")
+            i_tok = self.take("int")
+            self.check_index("chern", i_tok[1], self.ctx.r, i_tok[2])
+            self.take(",")
+            j_tok = self.take("int")
+            self.check_index("odd", j_tok[1], 2 * self.ctx.genus, j_tok[2])
+            self.take("]")
+            return ("slant", (("c", i_tok[1]),), ("gamma", j_tok[1]))
         raise SlantSyntaxError(f"expected a factor, found {tok[1]!r}", tok[2])
 
     def slant(self):
@@ -226,6 +169,7 @@ class _Parser:
         cup = [self.atom()]
         while self.at("."):
             self.take(".")
+            self.check_nesting(len(cup) + 1, "atoms in a cup", self.peek())
             cup.append(self.atom())
         self.take("|")
         base = self.base()
@@ -234,42 +178,39 @@ class _Parser:
 
     def atom(self):
         tok = self.peek()
-        if tok[0] != "word":
-            raise SlantSyntaxError(f"expected a cup atom, found {tok[1]!r}", tok[2])
         if tok[1] == "k0":
             self.take("word")
             self.take("[")
             name = self.take("word")[1]
             self.take("]")
             return ("k0", name)
-        letters, num, at = self.split_word(tok)
-        if letters == "c" and num is not None:
+        letters, num = self.split_word(tok)
+        if letters == "c":
             self.take("word")
-            self.check_index("chern", num, self.ctx.r, at)
+            self.check_index("chern", num, self.ctx.r, tok[2])
             return ("c", num)
-        raise SlantSyntaxError(f"unknown cup atom {tok[1]!r}", tok[2])
+        raise SlantSyntaxError(f"expected a cup atom, found {tok[1]!r}", tok[2])
 
     def base(self):
         tok = self.peek()
-        if tok[0] != "word":
-            raise SlantSyntaxError(f"expected a base class, found {tok[1]!r}", tok[2])
         if tok[1] == "pt":
             self.take("word")
             return ("pt",)
         if tok[1] == "S":
             self.take("word")
             return ("sigma",)
-        letters, num, at = self.split_word(tok)
-        if letters == "g" and num is not None:
+        letters, num = self.split_word(tok)
+        if letters == "g":
             self.take("word")
-            self.check_index("odd", num, 2 * self.ctx.genus, at)
+            self.check_index("odd", num, 2 * self.ctx.genus, tok[2])
             return ("gamma", num)
-        raise SlantSyntaxError(f"unknown base class {tok[1]!r}", tok[2])
+        raise SlantSyntaxError(f"expected a base class, found {tok[1]!r}", tok[2])
 
 
 def parse_expr(text: str, ctx: AlgebraContext):
     """Parse text into an AST; indices are validated against ctx."""
-    return _Parser(text, ctx).parse()
+    parser = _Parser(text, ctx)
+    return parser.finish(parser.expr())
 
 
 # -- normal forms ------------------------------------------------------------
@@ -486,34 +427,17 @@ def normalize(expr, ctx: AlgebraContext) -> NormalForm:
 
 def print_normal(nf: NormalForm) -> str:
     """Canonical text form; parse_expr of the output normalizes back to nf."""
-    if nf.is_zero():
-        return "0"
-    chunks = []
+    terms = []
     for (u, v, odd), coeff in nf.items():
         parts = []
-        for i, e in enumerate(u):
-            if e:
-                parts.append(f"u{i + 1}" + (f"^{e}" if e > 1 else ""))
-        for i, e in enumerate(v):
-            if e:
-                parts.append(f"v{i + 2}" + (f"^{e}" if e > 1 else ""))
+        for letter, first, exponents in (("u", 1, u), ("v", 2, v)):
+            for i, e in enumerate(exponents, first):
+                if e:
+                    parts.append(f"{letter}{i}" + (f"^{e}" if e > 1 else ""))
         for i, j in odd:
             parts.append(f"G[{i},{j}]")
-        if not parts:
-            term = str(coeff)
-        elif coeff == 1:
-            term = "*".join(parts)
-        elif coeff == -1:
-            term = "-" + "*".join(parts)
-        else:
-            term = "*".join([str(coeff)] + parts)
-        if not chunks:
-            chunks.append(term)
-        elif term.startswith("-"):
-            chunks.append(f"- {term[1:]}")
-        else:
-            chunks.append(f"+ {term}")
-    return " ".join(chunks)
+        terms.append(("*".join(parts), coeff))
+    return format_terms(terms)
 
 
 def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:

@@ -127,6 +127,9 @@ def test_evaluate(capsys):
         ["ggw", "--genus", "1", "--r0", "2", "--v", "0", "--form", "a1^"],
         ["ggw", "--genus", "-1", "--r0", "2", "--v", "0"],
         ["quot-count", "--genus", "2", "--r0", "0"],
+        ["normalize", "--genus", "1", "(" * 250 + "u1" + ")" * 250],
+        ["normalize", "--genus", "1", "u1" + "^1" * 3000],
+        ["evaluate", "--genus", "1", "--r0", "1", "--v", "0", "<" + ".".join(["c1"] * 3000) + "|pt>"],
     ],
 )
 def test_domain_and_parse_errors_exit_2(capsys, argv):
@@ -134,6 +137,24 @@ def test_domain_and_parse_errors_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,tail",
+    [
+        (["quot-count", "--genus", "5200", "--r0", "7"], "decimal digits"),
+        (["sw", "--genus", "1", "--d", "1", "--n", "1", "--deg-v0", "0", "--form", "9" * 5000], "position 0"),
+    ],
+)
+def test_digit_limit_is_named(capsys, argv, tail):
+    # past the interpreter's int/str digit limit, output values and input
+    # literals each end in one line that names the limit
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert str(sys.get_int_max_str_digits()) in err
+    assert err.rstrip().endswith(tail)
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(
@@ -215,3 +236,17 @@ def test_optimized_interpreter_gives_same_bytes(argv):
     plain = cli()
     assert plain[0] == 0 and plain[1]
     assert cli("-O") == plain
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip()
+    assert "Traceback" not in proc.stdout + proc.stderr

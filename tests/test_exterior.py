@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruledinv.exterior import (
@@ -14,6 +14,7 @@ from ruledinv.exterior import (
     top_pairing,
     wedge,
 )
+from ruledinv.slant import AlgebraContext, parse_expr
 
 
 def mv(genus, *specs):
@@ -134,6 +135,31 @@ def test_parse_multivector_errors_carry_position():
         parse_multivector("a2", topo)
     with pytest.raises(ValueError, match="position"):
         parse_multivector("2*", topo)
+
+
+# grammar characters of both languages, digits that int() does and does
+# not read, and anything else
+TEXT = st.text(st.sampled_from(list("ab0123456789uvcgGkSpt_<>|().,+-*^[] ²٣x")) | st.characters())
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 3), TEXT)
+@example(1, "a1^b²")
+@example(1, "(" * 300 + "u1" + ")" * 300)
+@example(1, "9" * 5000)
+def test_malformed_text_raises_positioned_errors(genus, text):
+    # forms and slant expressions alike: any text parses or raises a
+    # ValueError that carries the offending position
+    ctx = AlgebraContext(r=2, genus=genus, k0_eval={"h": 1})
+    for parse in (
+        lambda: parse_multivector(text, SurfaceTopology(genus)),
+        lambda: parse_expr(text, ctx),
+    ):
+        try:
+            parse()
+        except ValueError as err:
+            assert 0 <= err.position <= len(text)
+            assert str(err).endswith(f"at position {err.position}")
 
 
 @settings(max_examples=200)

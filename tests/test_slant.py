@@ -6,6 +6,7 @@ from fuzz_exprs import random_context, random_expr
 from ruledinv.invariants import ggw_abelian
 from ruledinv.exterior import Multivector
 from ruledinv.slant import (
+    MAX_NESTING,
     AlgebraContext,
     NormalForm,
     SlantSyntaxError,
@@ -73,6 +74,25 @@ def test_parse_errors_carry_positions(text, position):
     assert err.value.position == position
     assert isinstance(err.value, ValueError)
     assert f"position {position}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "build,position",
+    [
+        (lambda n: "(" * n + "u1" + ")" * n, lambda n: n - 1),
+        (lambda n: "u1" + "^1" * n, lambda n: 2 * n),
+        (lambda n: "<" + ".".join(["c1"] * n) + "|pt>", lambda n: 3 * n - 2),
+    ],
+    ids=["parentheses", "powers", "cup_atoms"],
+)
+def test_nesting_bound(build, position):
+    # exactly MAX_NESTING parses and normalizes; one more is a syntax error
+    ctx = AlgebraContext(r=1, genus=1)
+    nf = norm(build(MAX_NESTING), ctx)
+    assert nf in (norm("u1", ctx), norm(f"u1^{MAX_NESTING}", ctx))
+    with pytest.raises(SlantSyntaxError) as err:
+        parse_expr(build(MAX_NESTING + 1), ctx)
+    assert err.value.position == position(MAX_NESTING + 1)
 
 
 def test_odd_index_range_tracks_genus():
