@@ -21,15 +21,11 @@ from .exterior import (
     wedge,
 )
 from .indices import (
-    BundleType,
     H2Class,
-    QuotProblem,
     RuledSurfaceGeometry,
     abelian_v,
     canonical_class,
     douady_index,
-    euler_char,
-    expected_dim,
     index_wc,
     intersect,
     spinc_det,

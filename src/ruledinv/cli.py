@@ -9,6 +9,7 @@ flags or unparseable input.
 
 import argparse
 import json
+import re
 import sys
 
 from .checks import run_all
@@ -18,6 +19,7 @@ from .invariants import ggw_abelian, quot_count, sw_ruled
 from .slant import AlgebraContext, evaluate_abelian, normalize, parse_expr, print_normal
 
 _SAFE_MAX = 2**53 - 1
+_INT_TEXT = re.compile(r"\s*[+-]?\d+\s*")
 
 
 def _safe(obj):
@@ -32,11 +34,6 @@ def _safe(obj):
     return obj
 
 
-def _emit(command: str, inputs: dict, result: dict):
-    payload = {"command": command, "inputs": inputs, "result": result}
-    print(json.dumps(_safe(payload), sort_keys=True))
-
-
 def _parse_k0(pairs):
     table = {}
     for item in pairs or []:
@@ -46,156 +43,96 @@ def _parse_k0(pairs):
         try:
             table[name] = int(value)
         except ValueError:
+            if _INT_TEXT.fullmatch(value):
+                # a well-formed integer that int() refuses is past the digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(
+                    f"bad --k0 value for {name!r}, integer has more than {limit} decimal digits"
+                ) from None
             raise ValueError(f"bad --k0 value in {item!r}, expected an integer") from None
     return table
 
 
+def _respond(args) -> int:
+    """Run one parsed request, print its JSON line and return the exit code.
+
+    inputs repeats every flag as parsed, with --form in canonical text
+    and --k0 as a sorted table.  The handler finds --form parsed in
+    args.form and, for slant expressions, the context in args.ctx; it
+    returns the result dict.
+    """
+    inputs = {k: v for k, v in vars(args).items() if k not in ("cmd", "run")}
+    if "form" in inputs:
+        topo = SurfaceTopology(args.genus)
+        args.form = parse_multivector(args.form, topo)
+    if "expr" in inputs:
+        if args.cmd == "evaluate" and args.r != 1:
+            raise ValueError("evaluate only supports the rank-1 algebra (--r 1)")
+        inputs["k0"] = dict(sorted(_parse_k0(args.k0).items()))
+        args.ctx = AlgebraContext(args.r, args.genus, args.scalar_degree, inputs["k0"])
+    result = args.run(args)
+    if "form" in inputs:
+        inputs["form"] = format_multivector(args.form, topo)
+    payload = {"command": args.cmd, "inputs": inputs, "result": result}
+    print(json.dumps(_safe(payload), sort_keys=True))
+    return 1 if result.get("passed") is False else 0
+
+
 def _cmd_ggw(args):
-    topo = SurfaceTopology(args.genus)
-    l = parse_multivector(args.form, topo)
-    value = 0 if args.chamber == "empty" else ggw_abelian(args.genus, args.r0, args.v, l)
-    _emit(
-        "ggw",
-        {
-            "genus": args.genus,
-            "r0": args.r0,
-            "v": args.v,
-            "form": format_multivector(l, topo),
-            "chamber": args.chamber,
-        },
-        {"value": value},
-    )
-    return 0
+    value = 0 if args.chamber == "empty" else ggw_abelian(args.genus, args.r0, args.v, args.form)
+    return {"value": value}
 
 
 def _cmd_ggw_bundle(args):
-    topo = SurfaceTopology(args.genus)
-    l = parse_multivector(args.form, topo)
     v = abelian_v(args.r0, args.deg_e, args.deg_e0, args.genus)
-    value = 0 if args.chamber == "empty" else ggw_abelian(args.genus, args.r0, v, l)
-    _emit(
-        "ggw-bundle",
-        {
-            "genus": args.genus,
-            "r0": args.r0,
-            "deg_e": args.deg_e,
-            "deg_e0": args.deg_e0,
-            "form": format_multivector(l, topo),
-            "chamber": args.chamber,
-        },
-        {"v": v, "value": value},
-    )
-    return 0
+    value = 0 if args.chamber == "empty" else ggw_abelian(args.genus, args.r0, v, args.form)
+    return {"v": v, "value": value}
 
 
 def _cmd_sw(args):
-    topo = SurfaceTopology(args.genus)
-    l = parse_multivector(args.form, topo)
-    geom = RuledSurfaceGeometry(args.genus, args.deg_v0)
-    res = sw_ruled(args.d, args.n, geom, l)
-    plus = res.value_signed_chamber if res.sign > 0 else 0
-    minus = res.value_signed_chamber if res.sign < 0 else 0
-    _emit(
-        "sw",
-        {
-            "genus": args.genus,
-            "d": args.d,
-            "n": args.n,
-            "deg_v0": args.deg_v0,
-            "form": format_multivector(l, topo),
-        },
-        {
-            "sign": res.sign,
-            "plus": plus,
-            "minus": minus,
-            "w_c": res.w_c,
-            "pair_with_fibre": res.pair_with_fibre,
-            "c": {"s": res.c.s, "f": res.c.f},
-        },
-    )
-    return 0
+    res = sw_ruled(args.d, args.n, RuledSurfaceGeometry(args.genus, args.deg_v0), args.form)
+    return {
+        "sign": res.sign,
+        "plus": res.value_signed_chamber if res.sign > 0 else 0,
+        "minus": res.value_signed_chamber if res.sign < 0 else 0,
+        "w_c": res.w_c,
+        "pair_with_fibre": res.pair_with_fibre,
+        "c": {"s": res.c.s, "f": res.c.f},
+    }
 
 
 def _cmd_quot_count(args):
-    _emit(
-        "quot-count",
-        {"genus": args.genus, "r0": args.r0},
-        {"value": quot_count(args.genus, args.r0)},
-    )
-    return 0
-
-
-def _context(args):
-    return AlgebraContext(
-        r=args.r,
-        genus=args.genus,
-        scalar_degree=args.scalar_degree,
-        k0_eval=_parse_k0(args.k0),
-    )
+    return {"value": quot_count(args.genus, args.r0)}
 
 
 def _cmd_normalize(args):
-    ctx = _context(args)
-    nf = normalize(parse_expr(args.expr, ctx), ctx)
-    _emit(
-        "normalize",
-        {
-            "r": ctx.r,
-            "genus": ctx.genus,
-            "scalar_degree": ctx.scalar_degree,
-            "k0": dict(sorted(ctx.k0_eval.items())),
-            "expr": args.expr,
-        },
-        {"normal_form": print_normal(nf)},
-    )
-    return 0
+    nf = normalize(parse_expr(args.expr, args.ctx), args.ctx)
+    return {"normal_form": print_normal(nf)}
 
 
 def _cmd_evaluate(args):
-    if args.r != 1:
-        raise ValueError("evaluate only supports the rank-1 algebra (--r 1)")
-    ctx = _context(args)
-    nf = normalize(parse_expr(args.expr, ctx), ctx)
+    nf = normalize(parse_expr(args.expr, args.ctx), args.ctx)
     value = evaluate_abelian(nf, args.genus, args.r0, args.v)
-    _emit(
-        "evaluate",
-        {
-            "r": ctx.r,
-            "genus": ctx.genus,
-            "scalar_degree": ctx.scalar_degree,
-            "k0": dict(sorted(ctx.k0_eval.items())),
-            "r0": args.r0,
-            "v": args.v,
-            "expr": args.expr,
-        },
-        {"normal_form": print_normal(nf), "value": value},
-    )
-    return 0
+    return {"normal_form": print_normal(nf), "value": value}
 
 
 def _cmd_check(args):
     reports = run_all(args.max_genus, args.max_r0, args.max_deg)
-    grids = [
-        {
-            "name": r.name,
-            "cases": r.cases,
-            "failures": r.failures,
-            "first_counterexample": r.first_counterexample,
-        }
-        for r in reports
-    ]
     failures = sum(r.failures for r in reports)
-    _emit(
-        "check",
-        {"max_genus": args.max_genus, "max_r0": args.max_r0, "max_deg": args.max_deg},
-        {
-            "grids": grids,
-            "total_cases": sum(r.cases for r in reports),
-            "total_failures": failures,
-            "passed": failures == 0,
-        },
-    )
-    return 0 if failures == 0 else 1
+    return {
+        "grids": [
+            {
+                "name": r.name,
+                "cases": r.cases,
+                "failures": r.failures,
+                "first_counterexample": r.first_counterexample,
+            }
+            for r in reports
+        ],
+        "total_cases": sum(r.cases for r in reports),
+        "total_failures": failures,
+        "passed": failures == 0,
+    }
 
 
 def _add_form_flag(sub):
@@ -284,7 +221,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        return _respond(args)
     except (ValueError, NotImplementedError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -390,9 +390,14 @@ class TokenCursor:
     def take(self, kind):
         tok = self.peek()
         if tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise self.expected(repr(kind), tok)
         self.pos += 1
         return tok
+
+    def expected(self, what, tok):
+        """The error for finding tok where what was expected."""
+        found = "end of input" if tok[0] == "eof" else repr(tok[1])
+        return self.error(f"expected {what}, found {found}", tok[2])
 
     def at(self, kind):
         return self.peek()[0] == kind
@@ -482,7 +487,7 @@ class _FormParser(TokenCursor):
         tok = self.peek()
         letters, k = self.split_word(tok)
         if letters not in ("a", "b"):
-            raise self.error(f"expected a generator, found {tok[1]!r}", tok[2])
+            raise self.expected("a generator", tok)
         self.check_index(f"generator {tok[1]}", k, self.topo.genus, tok[2])
         self.take("word")
         return self.topo.a(k) if letters == "a" else self.topo.b(k)

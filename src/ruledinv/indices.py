@@ -8,12 +8,8 @@ rank-2 bundle over the curve.  Everything is exact integer arithmetic.
 from dataclasses import dataclass
 
 __all__ = [
-    "BundleType",
-    "QuotProblem",
     "RuledSurfaceGeometry",
     "H2Class",
-    "euler_char",
-    "expected_dim",
     "abelian_v",
     "intersect",
     "canonical_class",
@@ -21,45 +17,6 @@ __all__ = [
     "index_wc",
     "douady_index",
 ]
-
-
-@dataclass(frozen=True)
-class BundleType:
-    """Topological type (rank, degree) of a bundle on the curve."""
-
-    rank: int
-    degree: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-
-
-@dataclass(frozen=True)
-class QuotProblem:
-    """Subsheaf problem: kernel type mapping into a fixed target type."""
-
-    genus: int
-    kernel: BundleType
-    target: BundleType
-
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
-
-
-def euler_char(b: BundleType, genus: int) -> int:
-    """Holomorphic Euler characteristic d + r(1-g)."""
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    return b.degree + b.rank * (1 - genus)
-
-
-def expected_dim(p: QuotProblem) -> int:
-    """Expected dimension r*d0 - r0*d + r(r0-r)(1-g) of the quot problem."""
-    r, d = p.kernel.rank, p.kernel.degree
-    r0, d0 = p.target.rank, p.target.degree
-    return r * d0 - r0 * d + r * (r0 - r) * (1 - p.genus)
 
 
 def abelian_v(r0: int, d: int, d0: int, genus: int) -> int:

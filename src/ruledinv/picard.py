@@ -114,20 +114,6 @@ class ThetaSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def exp(self) -> "ThetaSeries":
-        """Exponential; requires zero constant term."""
-        if self.coeffs[0]:
-            raise ValueError("exp needs a zero constant term")
-        result = ThetaSeries.constant(1, self.genus)
-        power = ThetaSeries.constant(1, self.genus)
-        k = 0
-        while True:
-            k += 1
-            power = power * self * Fraction(1, k)
-            if power.is_zero():
-                return result
-            result = result + power
-
     def inverse(self) -> "ThetaSeries":
         """Multiplicative inverse; the leading term must be nonzero."""
         if not self.coeffs[0]:

@@ -9,10 +9,10 @@ symplectic basis.  Normal monomials use
     v_i = <c_i|S>         even, degree 2i-2, kept for i >= 2
     G[i,j] = <c_i|g_j>    odd, degree 2i-1
 
-v_1 is eliminated eagerly: <c_1|S> reduces to a context scalar (minus
-the kernel degree, by default).  Products of cup classes split
-left-to-right; splitting over pt is multiplicative, over an odd class
-it Leibniz-expands with the sign of the right factor's degree, and over
+v_1 is eliminated eagerly: <c_1|S> reduces to a context scalar, minus
+the kernel degree.  Products of cup classes split left-to-right;
+splitting over pt is multiplicative, over an odd class it
+Leibniz-expands with the sign of the right factor's degree, and over
 S it picks up the intersection-form double sum.  Degree-2 classes
 pulled back from the curve slant to a context number over S and to zero
 over pt and the odd classes.
@@ -60,25 +60,21 @@ __all__ = [
 class AlgebraContext:
     """Rank, genus, and reduction data for the algebra.
 
-    scalar_degree feeds the <c1|S> reduction: the value used is
-    c1_sigma_sign * scalar_degree, and the sign field exists so the
-    convention itself can be exercised from tests.  k0_eval sends names
-    of degree-2 classes pulled back from the curve to their integrals.
+    scalar_degree feeds the <c1|S> reduction, whose value is fixed as
+    -scalar_degree.  k0_eval sends names of degree-2 classes pulled back
+    from the curve to their integrals.
     """
 
     r: int
     genus: int
     scalar_degree: int = 0
     k0_eval: dict = field(default_factory=dict)
-    c1_sigma_sign: int = -1
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("rank must be >= 1")
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
-        if self.c1_sigma_sign not in (1, -1):
-            raise ValueError("c1_sigma_sign must be +1 or -1")
 
 
 # AST nodes are tagged tuples:
@@ -162,7 +158,7 @@ class _Parser(TokenCursor):
             self.check_index("odd", j_tok[1], 2 * self.ctx.genus, j_tok[2])
             self.take("]")
             return ("slant", (("c", i_tok[1]),), ("gamma", j_tok[1]))
-        raise SlantSyntaxError(f"expected a factor, found {tok[1]!r}", tok[2])
+        raise self.expected("a factor", tok)
 
     def slant(self):
         self.take("<")
@@ -189,7 +185,7 @@ class _Parser(TokenCursor):
             self.take("word")
             self.check_index("chern", num, self.ctx.r, tok[2])
             return ("c", num)
-        raise SlantSyntaxError(f"expected a cup atom, found {tok[1]!r}", tok[2])
+        raise self.expected("a cup atom", tok)
 
     def base(self):
         tok = self.peek()
@@ -204,7 +200,7 @@ class _Parser(TokenCursor):
             self.take("word")
             self.check_index("odd", num, 2 * self.ctx.genus, tok[2])
             return ("gamma", num)
-        raise SlantSyntaxError(f"expected a base class, found {tok[1]!r}", tok[2])
+        raise self.expected("a base class", tok)
 
 
 def parse_expr(text: str, ctx: AlgebraContext):
@@ -376,7 +372,7 @@ def _reduce_slant(cup, base, ctx: AlgebraContext) -> NormalForm:
         if base[0] == "gamma":
             return NormalForm.odd_gen(ctx, i, base[1])
         if i == 1:
-            return NormalForm.scalar(ctx, ctx.c1_sigma_sign * ctx.scalar_degree)
+            return NormalForm.scalar(ctx, -ctx.scalar_degree)
         return NormalForm.v_gen(ctx, i)
     head, tail = cup[:1], cup[1:]
     if base[0] == "pt":

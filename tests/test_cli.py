@@ -51,6 +51,45 @@ def test_ggw_bundle_reports_v(capsys):
     assert json.loads(out)["result"] == {"v": 5, "value": 1}
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (
+            ["ggw-bundle", "--genus", "2", "--r0", "2", "--deg-e", "-1", "--deg-e0", "0",
+             "--chamber", "empty", "--form", "a1^b1 + 2*a2^b2 - a1^b1"],
+            '{"command": "ggw-bundle", "inputs": {"chamber": "empty", "deg_e": -1,'
+            ' "deg_e0": 0, "form": "2*a2^b2", "genus": 2, "r0": 2}, "result": {"v": 1,'
+            ' "value": 0}}',
+        ),
+        (
+            ["quot-count", "--genus", "3", "--r0", "2"],
+            '{"command": "quot-count", "inputs": {"genus": 3, "r0": 2}, "result": {"value": 8}}',
+        ),
+        (
+            ["evaluate", "--genus", "1", "--r0", "2", "--v", "1", "--k0", "h=3", "--k0", "e=-2",
+             "<k0[h]|S>*u1 + <k0[e]|S>"],
+            '{"command": "evaluate", "inputs": {"expr": "<k0[h]|S>*u1 + <k0[e]|S>", "genus": 1,'
+            ' "k0": {"e": -2, "h": 3}, "r": 1, "r0": 2, "scalar_degree": 0, "v": 1},'
+            ' "result": {"normal_form": "-2 + 3*u1", "value": 6}}',
+        ),
+        (
+            ["check", "--max-genus", "1", "--max-r0", "2", "--max-deg", "1"],
+            '{"command": "check", "inputs": {"max_deg": 1, "max_genus": 1, "max_r0": 2},'
+            ' "result": {"grids": [{"cases": 180, "failures": 0, "first_counterexample": null,'
+            ' "name": "oracle_equivalence"}, {"cases": 90, "failures": 0,'
+            ' "first_counterexample": null, "name": "sw_dictionary"}], "passed": true,'
+            ' "total_cases": 270, "total_failures": 0}}',
+        ),
+    ],
+    ids=["ggw-bundle", "quot-count", "evaluate", "check"],
+)
+def test_echo_frozen_lines(capsys, argv, line):
+    # inputs repeat every flag as parsed; --form in canonical text, --k0 as a sorted table
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == line + "\n"
+
+
 def test_sw_frozen_lines(capsys):
     base = ["sw", "--genus", "1", "--d", "1", "--n", "1", "--deg-v0", "0"]
     code, out, _ = run(capsys, base)
@@ -130,6 +169,8 @@ def test_evaluate(capsys):
         ["normalize", "--genus", "1", "(" * 250 + "u1" + ")" * 250],
         ["normalize", "--genus", "1", "u1" + "^1" * 3000],
         ["evaluate", "--genus", "1", "--r0", "1", "--v", "0", "<" + ".".join(["c1"] * 3000) + "|pt>"],
+        ["normalize", "--genus", "1", "(u1"],
+        ["ggw", "--genus", "1", "--r0", "2", "--v", "0", "--form", "2*"],
     ],
 )
 def test_domain_and_parse_errors_exit_2(capsys, argv):
@@ -138,6 +179,7 @@ def test_domain_and_parse_errors_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    assert "None" not in err
 
 
 @pytest.mark.parametrize(
@@ -145,6 +187,7 @@ def test_domain_and_parse_errors_exit_2(capsys, argv):
     [
         (["quot-count", "--genus", "5200", "--r0", "7"], "decimal digits"),
         (["sw", "--genus", "1", "--d", "1", "--n", "1", "--deg-v0", "0", "--form", "9" * 5000], "position 0"),
+        (["normalize", "--genus", "1", "--k0", "h=" + "1" * 5000, "u1"], "decimal digits"),
     ],
 )
 def test_digit_limit_is_named(capsys, argv, tail):
@@ -155,6 +198,7 @@ def test_digit_limit_is_named(capsys, argv, tail):
     assert str(sys.get_int_max_str_digits()) in err
     assert err.rstrip().endswith(tail)
     assert "set_int_max_str_digits" not in err
+    assert len(err) < 200  # the over-long text is not repeated
 
 
 @pytest.mark.parametrize(

@@ -3,15 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ruledinv.indices import (
-    BundleType,
     H2Class,
-    QuotProblem,
     RuledSurfaceGeometry,
     abelian_v,
     canonical_class,
     douady_index,
-    euler_char,
-    expected_dim,
     index_wc,
     intersect,
     spinc_det,
@@ -21,43 +17,17 @@ F = H2Class(0, 1)
 S = H2Class(1, 0)
 
 
-def test_euler_char_examples():
-    assert euler_char(BundleType(2, 3), 2) == 1
-    assert euler_char(BundleType(1, 0), 0) == 1
-    assert euler_char(BundleType(3, -2), 1) == -2
-
-
-def test_expected_dim_example():
-    p = QuotProblem(2, BundleType(1, -2), BundleType(3, 1))
-    assert expected_dim(p) == 5
-
-
 def test_abelian_v_examples():
     assert abelian_v(2, -1, 0, 1) == 2
     assert abelian_v(2, 1, 2, 1) == 0
     assert abelian_v(1, 0, 0, 5) == 0
 
 
-@given(
-    st.integers(1, 6),
-    st.integers(-8, 8),
-    st.integers(-8, 8),
-    st.integers(0, 5),
-)
-def test_abelian_v_is_rank_one_expected_dim(r0, d, d0, genus):
-    p = QuotProblem(genus, BundleType(1, d), BundleType(r0, d0))
-    assert abelian_v(r0, d, d0, genus) == expected_dim(p)
-
-
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        BundleType(0, 3)
-    with pytest.raises(ValueError):
-        QuotProblem(-1, BundleType(1, 0), BundleType(1, 0))
     with pytest.raises(ValueError):
         abelian_v(0, 0, 0, 1)
     with pytest.raises(ValueError):
-        euler_char(BundleType(1, 0), -2)
+        abelian_v(1, 0, 0, -1)
 
 
 # -- ruled surface intersection ring ----------------------------------------
