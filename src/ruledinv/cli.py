@@ -11,9 +11,10 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 
 from .checks import run_all
-from .exterior import SurfaceTopology, format_int, format_multivector, parse_multivector
+from .exterior import SurfaceTopology, clip, format_int, format_multivector, parse_multivector
 from .indices import RuledSurfaceGeometry, abelian_v
 from .invariants import ggw_abelian, quot_count, sw_ruled
 from .slant import AlgebraContext, evaluate_abelian, normalize, parse_expr, print_normal
@@ -39,17 +40,17 @@ def _parse_k0(pairs):
     for item in pairs or []:
         name, eq, value = item.partition("=")
         if not eq or not name:
-            raise ValueError(f"bad --k0 entry {item!r}, expected name=integer")
+            raise ValueError(f"bad --k0 entry {clip(repr(item))}, expected name=integer")
         try:
             table[name] = int(value)
         except ValueError:
             if _INT_TEXT.fullmatch(value):
                 # a well-formed integer that int() refuses is past the digit limit
                 limit = sys.get_int_max_str_digits()
-                raise ValueError(
-                    f"bad --k0 value for {name!r}, integer has more than {limit} decimal digits"
-                ) from None
-            raise ValueError(f"bad --k0 value in {item!r}, expected an integer") from None
+                why = f"for {clip(repr(name))}, integer has more than {limit} decimal digits"
+            else:
+                why = f"in {clip(repr(item))}, expected an integer"
+            raise ValueError(f"bad --k0 value {why}") from None
     return table
 
 
@@ -120,15 +121,7 @@ def _cmd_check(args):
     reports = run_all(args.max_genus, args.max_r0, args.max_deg)
     failures = sum(r.failures for r in reports)
     return {
-        "grids": [
-            {
-                "name": r.name,
-                "cases": r.cases,
-                "failures": r.failures,
-                "first_counterexample": r.first_counterexample,
-            }
-            for r in reports
-        ],
+        "grids": [asdict(r) for r in reports],
         "total_cases": sum(r.cases for r in reports),
         "total_failures": failures,
         "passed": failures == 0,

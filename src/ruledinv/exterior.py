@@ -305,13 +305,14 @@ def pair_theta_powers(l: Multivector, topo: SurfaceTopology, scale: int, powers)
     """Sum over i in powers of the top pairing of (scale*Theta)^i/i! with l.
 
     The one kernel behind the closed forms: the count scales Theta by the
-    target rank, the Seiberg-Witten value by half the fibre pairing.  An
-    empty powers range pairs nothing, so l is not range-checked then.
+    target rank, the Seiberg-Witten value by half the fibre pairing.  The
+    cached Theta^i/i! is paired as it is and scale^i multiplies the
+    integer pairing.  An empty powers range pairs nothing, so l is not
+    range-checked then.
     """
     total = 0
     for i in powers:
-        block = scale**i * theta_divided_power(topo, i)
-        total += top_pairing(wedge(block, l, topo), topo)
+        total += scale**i * top_pairing(wedge(theta_divided_power(topo, i), l, topo), topo)
     return total
 
 
@@ -396,7 +397,7 @@ class TokenCursor:
 
     def expected(self, what, tok):
         """The error for finding tok where what was expected."""
-        found = "end of input" if tok[0] == "eof" else repr(tok[1])
+        found = "end of input" if tok[0] == "eof" else clip(repr(tok[1]))
         return self.error(f"expected {what}, found {found}", tok[2])
 
     def at(self, kind):
@@ -404,7 +405,9 @@ class TokenCursor:
 
     def check_index(self, what, value, hi, position):
         if not 1 <= value <= hi:
-            raise self.error(f"{what} index {value} out of range 1..{hi}", position)
+            raise self.error(
+                f"{clip(what)} index {clip(str(value))} out of range 1..{hi}", position
+            )
 
     def split_word(self, tok):
         """(letters, index) of a word like 'c12'; (None, None) for any other token."""
@@ -429,8 +432,13 @@ class TokenCursor:
         """node, once the whole text has been read; trailing input is an error."""
         tok = self.peek()
         if tok[0] != "eof":
-            raise self.error(f"trailing input {tok[1]!r}", tok[2])
+            raise self.error(f"trailing input {clip(repr(tok[1]))}", tok[2])
         return node
+
+
+def clip(text: str) -> str:
+    """Echoed input for an error line: past 40 characters, cut there with '...'."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def format_int(n: int) -> str:

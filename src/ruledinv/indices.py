@@ -43,14 +43,6 @@ class RuledSurfaceGeometry:
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
 
-    @property
-    def signature(self) -> int:
-        return 0
-
-    @property
-    def euler_number(self) -> int:
-        return 4 * (1 - self.genus)
-
 
 @dataclass(frozen=True)
 class H2Class:
@@ -93,7 +85,7 @@ def index_wc(c: H2Class, geom: RuledSurfaceGeometry) -> int:
     4 | c^2 since sig = 0 and e = 4(1-g).
     """
     csq = intersect(c, c, geom)
-    if (csq - 3 * geom.signature - 2 * geom.euler_number) % 4:
+    if csq % 4:
         raise ValueError(f"class with square {csq} is not characteristic for this geometry")
     return csq // 4 + 2 * (geom.genus - 1)
 

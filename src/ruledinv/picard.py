@@ -306,17 +306,14 @@ def ggw_via_segre(
     series = _pushforward_segre(genus, r0, dprime)
     total = Fraction(0)
     for blade, coeff in l.items():
+        # of the Segre indices max(0, g-v)..g, only g - |B|/2 tops off against blade B
+        idx, odd = divmod(2 * genus - len(blade), 2)
+        if odd or idx < max(0, genus - v):
+            continue
         lam = Multivector({blade: 1})
-        for a in range(v + 1):
-            idx = a + genus - v
-            if idx < 0:
-                continue
-            # only the grade that tops off against this blade survives
-            if 2 * idx + len(blade) != 2 * genus:
-                continue
-            pairing = top_pairing(wedge(theta_divided_power(topo, idx), lam, topo), topo)
-            if pairing:
-                total += coeff * series[idx] * factorial(idx) * pairing
+        pairing = top_pairing(wedge(theta_divided_power(topo, idx), lam, topo), topo)
+        if pairing:
+            total += coeff * series[idx] * factorial(idx) * pairing
     if total.denominator != 1:
         raise ArithmeticError(f"non-integral count {total}")
     return int(total)

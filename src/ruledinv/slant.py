@@ -17,8 +17,8 @@ S it picks up the intersection-form double sum.  Degree-2 classes
 pulled back from the curve slant to a context number over S and to zero
 over pt and the odd classes.
 
-Everything in scope has even cup degree, so the printed signs collapse
-to +1; the code keeps them literal anyway.
+Those signs are all +1: every cup atom has even degree (c_i has degree
+2i, a pulled-back class degree 2), so the code writes none.
 
 Accepted syntax (whitespace-insensitive), read by the tokenizer that
 exterior's forms use too; malformed text raises SlantSyntaxError, whose
@@ -43,7 +43,7 @@ error rather than a stack overflow in parsing or normalizing.
 from dataclasses import dataclass, field
 
 from .exterior import Multivector, SurfaceTopology, merge_blades, pair_theta_powers
-from .exterior import TextSyntaxError, TokenCursor, format_terms
+from .exterior import TextSyntaxError, TokenCursor, clip, format_terms
 
 __all__ = [
     "AlgebraContext",
@@ -339,23 +339,13 @@ class NormalForm:
         return f"NormalForm(r={self.r}, genus={self.genus}, {print_normal(self)!r})"
 
 
-def _atom_degree(atom) -> int:
-    if atom[0] == "c":
-        return 2 * atom[1]
-    return 2  # pulled-back curve classes are declared degree 2
-
-
-def _cup_degree(cup) -> int:
-    return sum(_atom_degree(a) for a in cup)
-
-
 def _reduce_slant(cup, base, ctx: AlgebraContext) -> NormalForm:
     # pulled-back degree-2 classes peel off first: they cap the base
     for pos, atom in enumerate(cup):
         if atom[0] == "k0":
             name = atom[1]
             if name not in ctx.k0_eval:
-                raise ValueError(f"unknown base-class name {name!r} in context")
+                raise ValueError(f"unknown base-class name {clip(repr(name))} in context")
             if base[0] != "sigma":
                 return NormalForm.zero(ctx)
             rest = cup[:pos] + cup[pos + 1 :]
@@ -377,18 +367,16 @@ def _reduce_slant(cup, base, ctx: AlgebraContext) -> NormalForm:
     head, tail = cup[:1], cup[1:]
     if base[0] == "pt":
         return _reduce_slant(head, base, ctx) * _reduce_slant(tail, base, ctx)
-    sign = -1 if _cup_degree(tail) % 2 else 1
-    if base[0] == "gamma":
-        out = sign * (_reduce_slant(head, base, ctx) * _reduce_slant(tail, ("pt",), ctx))
-        return out + _reduce_slant(head, ("pt",), ctx) * _reduce_slant(tail, base, ctx)
     out = _reduce_slant(head, base, ctx) * _reduce_slant(tail, ("pt",), ctx)
     out = out + _reduce_slant(head, ("pt",), ctx) * _reduce_slant(tail, base, ctx)
+    if base[0] == "gamma":
+        return out
     corr = NormalForm.zero(ctx)
     for h in range(1, ctx.genus + 1):
         odd1, odd2 = ("gamma", 2 * h - 1), ("gamma", 2 * h)
         corr = corr + _reduce_slant(head, odd1, ctx) * _reduce_slant(tail, odd2, ctx)
         corr = corr - _reduce_slant(head, odd2, ctx) * _reduce_slant(tail, odd1, ctx)
-    return out - sign * corr
+    return out - corr
 
 
 def normalize(expr, ctx: AlgebraContext) -> NormalForm:

@@ -171,6 +171,16 @@ def test_evaluate(capsys):
         ["evaluate", "--genus", "1", "--r0", "1", "--v", "0", "<" + ".".join(["c1"] * 3000) + "|pt>"],
         ["normalize", "--genus", "1", "(u1"],
         ["ggw", "--genus", "1", "--r0", "2", "--v", "0", "--form", "2*"],
+        # over-long words, indices and --k0 items are echoed cut to 40 characters
+        ["normalize", "--genus", "1", "u1+" + "a" * 4000],
+        ["ggw", "--genus", "1", "--r0", "1", "--v", "1", "--form", "a" + "9" * 4000],
+        ["normalize", "--genus", "1", "u" + "9" * 4000],
+        ["normalize", "--genus", "1", "G[1," + "9" * 4000 + "]"],
+        ["normalize", "--genus", "1", "u1 " + "a" * 4000],
+        ["normalize", "--genus", "1", "<k0[" + "a" * 4000 + "]|S>"],
+        ["normalize", "--genus", "1", "--k0", "h=" + "1" * 5000 + "x", "u1"],
+        ["normalize", "--genus", "1", "--k0", "h" * 5000, "u1"],
+        ["normalize", "--genus", "1", "--k0", "h" * 5000 + "=" + "1" * 5000, "u1"],
     ],
 )
 def test_domain_and_parse_errors_exit_2(capsys, argv):
@@ -180,6 +190,7 @@ def test_domain_and_parse_errors_exit_2(capsys, argv):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "None" not in err
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize(
@@ -256,6 +267,20 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_oracle_shares_no_code_with_the_kernel():
+    # picard checks the closed forms, so it must not reach them
+    path = PACKAGE / "picard.py"
+    source = path.read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source, str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # "from . import slant" names the module as an alias
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            imported.update(name.rpartition(".")[2] for name in names)
+    assert not imported & {"invariants", "slant", "checks", "cli"}
+    assert "pair_theta_powers" not in source
 
 
 @pytest.mark.parametrize(

@@ -94,6 +94,18 @@ def test_blade_constructor_sorts_with_sign():
     assert Multivector.blade([1, 1]).is_zero()
 
 
+def test_constructor_validates_and_drops_zeros():
+    for coeff in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            Multivector({(0,): coeff})
+    for blade in ((1, 0), (0, 0), (2, 1, 3), (-1,), (-2, 0)):
+        with pytest.raises(ValueError):
+            Multivector({blade: 1})
+    x = Multivector({(0, 1): 0, (1,): 3, (): 0, (0, 2, 3): 0})
+    assert x == Multivector({(1,): 3})
+    assert Multivector({(0,): 0}).is_zero()
+
+
 def test_generator_out_of_range_rejected():
     topo = SurfaceTopology(1)
     bad = Multivector.generator(2)
