@@ -21,6 +21,8 @@ from .slant import AlgebraContext, evaluate_abelian, normalize, parse_expr, prin
 
 _SAFE_MAX = 2**53 - 1
 _INT_TEXT = re.compile(r"\s*[+-]?\d+\s*")
+# a word as the tokenizer reads it, so k0[name] can refer to it
+_K0_NAME = re.compile(r"[A-Za-z_][A-Za-z_\d]*")
 
 
 def _safe(obj):
@@ -42,7 +44,7 @@ def _parse_k0(pairs):
         if not eq or not name:
             raise ValueError(f"bad --k0 entry {clip(repr(item))}, expected name=integer")
         try:
-            table[name] = int(value)
+            n = int(value)
         except ValueError:
             if _INT_TEXT.fullmatch(value):
                 # a well-formed integer that int() refuses is past the digit limit
@@ -51,6 +53,11 @@ def _parse_k0(pairs):
             else:
                 why = f"in {clip(repr(item))}, expected an integer"
             raise ValueError(f"bad --k0 value {why}") from None
+        if not _K0_NAME.fullmatch(name):
+            raise ValueError(f"bad --k0 name {clip(repr(name))}, expected a word")
+        if name in table:
+            raise ValueError(f"--k0 name {clip(repr(name))} given twice")
+        table[name] = n
     return table
 
 

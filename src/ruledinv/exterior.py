@@ -8,6 +8,12 @@ normalized so that blade itself pairs to +1.
 
 Generators carry flat indices 0..2g-1 with a_k at 2(k-1) and b_k at
 2(k-1)+1; a blade is a strictly increasing tuple of such indices.
+
+Multivector and the slant algebra's NormalForm share one sparse integer
+core, Combination.  Validation happens where terms enter: the public
+constructors and the parsers.  Results built from terms that are
+already valid (wedge, sums, scalings, theta and its powers, exp_even)
+come through the trusted Combination._like.
 """
 
 import re
@@ -103,15 +109,95 @@ def merge_blades(x: tuple, y: tuple):
     return tuple(merged), (-1 if parity else 1)
 
 
-class Multivector:
-    """Sparse integer element of the exterior algebra.
+class Combination:
+    """Sparse integer combination of monomials, with its arithmetic.
 
-    Immutable by convention: no method mutates, operators return fresh
-    instances.  Supports +, -, and scaling by int; wedge products go
-    through :func:`wedge` which also validates generator ranges.
+    terms maps monomials to nonzero ints.  Immutable by convention: no
+    method mutates, operators return fresh instances.  A subclass
+    supplies three hooks:
+
+    - monomial_degree(m), the degree of one monomial;
+    - _shape(), what two operands must share (None here);
+    - _like(terms), a result of the same shape from terms whose
+      monomials are already valid; it drops zeros and checks nothing
+      else.
+
+    Public constructors and parsers validate; everything computed from
+    valid operands comes through _like.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("terms",)
+
+    def _shape(self):
+        return None
+
+    def _check_shape(self, other):
+        if self._shape() != other._shape():
+            raise ValueError(f"{type(self).__name__}s built over different contexts")
+
+    def signed_sum(self, parts):
+        """self plus sign * part over (sign, part) pairs, summed in one dict."""
+        terms = dict(self.terms)
+        for sign, part in parts:
+            self._check_shape(part)
+            for m, c in part.terms.items():
+                terms[m] = terms.get(m, 0) + sign * c
+        return self._like(terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.signed_sum(((1, other),))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.signed_sum(((-1, other),))
+
+    def __neg__(self):
+        return self._like({m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return self._like({m: c * other for m, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._shape(), frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def items(self):
+        """Terms as (monomial, coefficient), sorted by degree then monomial."""
+        return sorted(self.terms.items(), key=lambda t: (self.monomial_degree(t[0]), t[0]))
+
+    def degrees(self):
+        return {self.monomial_degree(m) for m in self.terms}
+
+    def homogeneous_part(self, degree: int):
+        return self._like(
+            {m: c for m, c in self.terms.items() if self.monomial_degree(m) == degree}
+        )
+
+
+class Multivector(Combination):
+    """Sparse integer element of the exterior algebra; monomials are blades.
+
+    The constructor validates each coefficient and blade.  Wedge products
+    go through :func:`wedge`, which also validates generator ranges.
+    """
+
+    __slots__ = ()
+
+    monomial_degree = staticmethod(len)
 
     def __init__(self, terms=None):
         clean = {}
@@ -125,7 +211,13 @@ class Multivector:
                 raise ValueError(f"blade {blade} has a negative generator index")
             if coeff:
                 clean[blade] = coeff
-        self._terms = clean
+        self.terms = clean
+
+    @classmethod
+    def _like(cls, terms):
+        out = object.__new__(cls)
+        out.terms = {b: c for b, c in terms.items() if c}
+        return out
 
     @classmethod
     def zero(cls) -> "Multivector":
@@ -142,66 +234,21 @@ class Multivector:
     @classmethod
     def blade(cls, indices, coeff: int = 1) -> "Multivector":
         """Blade from possibly unsorted indices; zero on a repeated index."""
-        indices = list(indices)
-        sign = 1
-        # insertion sort, counting transpositions
-        for i in range(1, len(indices)):
-            j = i
-            while j > 0 and indices[j - 1] > indices[j]:
-                indices[j - 1], indices[j] = indices[j], indices[j - 1]
-                sign = -sign
-                j -= 1
-        if any(indices[i] == indices[i + 1] for i in range(len(indices) - 1)):
-            return cls.zero()
-        return cls({tuple(indices): sign * coeff})
+        blade, sign = (), 1
+        for index in indices:
+            hit = merge_blades(blade, (index,))
+            if hit is None:
+                return cls.zero()
+            blade, s = hit
+            sign *= s
+        return cls({blade: sign * coeff})
 
     def coefficient(self, blade) -> int:
-        return self._terms.get(tuple(blade), 0)
-
-    def items(self):
-        """Terms as (blade, coefficient), sorted by grade then blade."""
-        return sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0]))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def degrees(self):
-        return {len(blade) for blade in self._terms}
+        return self.terms.get(tuple(blade), 0)
 
     def max_index(self) -> int:
         """Largest generator index used, -1 for scalars and zero."""
-        return max((blade[-1] for blade in self._terms if blade), default=-1)
-
-    def __add__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        terms = dict(self._terms)
-        for blade, coeff in other._terms.items():
-            terms[blade] = terms.get(blade, 0) + coeff
-        return Multivector(terms)
-
-    def __neg__(self):
-        return Multivector({b: -c for b, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Multivector({b: c * other for b, c in self._terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return max((blade[-1] for blade in self.terms if blade), default=-1)
 
     def __repr__(self):
         return f"Multivector({dict(self.items())!r})"
@@ -219,20 +266,19 @@ def wedge(x: Multivector, y: Multivector, topo: SurfaceTopology) -> Multivector:
     _check_range(x, topo, "wedge")
     _check_range(y, topo, "wedge")
     terms = {}
-    for bx, cx in x._terms.items():
-        for by, cy in y._terms.items():
+    for bx, cx in x.terms.items():
+        for by, cy in y.terms.items():
             hit = merge_blades(bx, by)
             if hit is None:
                 continue
             blade, sign = hit
             terms[blade] = terms.get(blade, 0) + sign * cx * cy
-    return Multivector(terms)
+    return Multivector._like(terms)
 
 
 def theta_class(topo: SurfaceTopology) -> Multivector:
     """Sum of a_k^b_k over the handles; zero in genus 0."""
-    terms = {(topo.a(k), topo.b(k)): 1 for k in range(1, topo.genus + 1)}
-    return Multivector(terms)
+    return Multivector._like({(2 * h, 2 * h + 1): 1 for h in range(topo.genus)})
 
 
 @lru_cache(maxsize=None)
@@ -248,14 +294,11 @@ def theta_divided_power(topo: SurfaceTopology, k: int) -> Multivector:
         raise ValueError("power must be nonnegative")
     if k > topo.genus:
         return Multivector.zero()
+    # handle h (0-based) is the blade (2h, 2h+1)
     terms = {}
-    for subset in combinations(range(1, topo.genus + 1), k):
-        blade = []
-        for h in subset:
-            blade.append(topo.a(h))
-            blade.append(topo.b(h))
-        terms[tuple(blade)] = 1
-    return Multivector(terms)
+    for subset in combinations(range(topo.genus), k):
+        terms[tuple(i for h in subset for i in (2 * h, 2 * h + 1))] = 1
+    return Multivector._like(terms)
 
 
 def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
@@ -283,14 +326,14 @@ def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
         if raw.is_zero():
             break
         terms = {}
-        for blade, coeff in raw._terms.items():
+        for blade, coeff in raw.terms.items():
             q, r = divmod(coeff, k)
             if r:
                 raise ArithmeticError(
                     f"exp_even: coefficient {coeff} on {blade} not divisible by {k}"
                 )
             terms[blade] = q
-        power = Multivector(terms)
+        power = Multivector._like(terms)
         result = result + power
     return result
 
@@ -320,7 +363,7 @@ def grade_part(x: Multivector, k: int) -> Multivector:
     """Grade-k component of x."""
     if k < 0:
         raise ValueError("grade_part: grade must be nonnegative")
-    return Multivector({b: c for b, c in x._terms.items() if len(b) == k})
+    return x.homogeneous_part(k)
 
 
 # -- text front end ----------------------------------------------------------
@@ -504,12 +547,7 @@ class _FormParser(TokenCursor):
 def parse_multivector(text: str, topo: SurfaceTopology) -> Multivector:
     """Parse text like '2*a1^b1 - a2^b2 + 3' into a multivector."""
     parser = _FormParser(text, topo)
-    # accumulate in one dict; repeated + copies once per term
-    terms = {}
-    for sign, term in parser.signed_terms(parser.term):
-        for blade, coeff in term._terms.items():
-            terms[blade] = terms.get(blade, 0) + sign * coeff
-    return parser.finish(Multivector(terms))
+    return parser.finish(Multivector.zero().signed_sum(parser.signed_terms(parser.term)))
 
 
 def format_multivector(x: Multivector, topo: SurfaceTopology) -> str:

@@ -42,7 +42,7 @@ error rather than a stack overflow in parsing or normalizing.
 
 from dataclasses import dataclass, field
 
-from .exterior import Multivector, SurfaceTopology, merge_blades, pair_theta_powers
+from .exterior import Combination, Multivector, SurfaceTopology, merge_blades, pair_theta_powers
 from .exterior import TextSyntaxError, TokenCursor, clip, format_terms
 
 __all__ = [
@@ -212,16 +212,18 @@ def parse_expr(text: str, ctx: AlgebraContext):
 # -- normal forms ------------------------------------------------------------
 
 
-class NormalForm:
+class NormalForm(Combination):
     """Integer combination of normal monomials over a fixed context shape.
 
     Keys are (u_exponents, v_exponents, odd_generators): u covers
     u_1..u_r, v covers v_2..v_r, odd is a sorted tuple of (i, j) pairs
-    for G[i,j].  Only r and genus are carried; the reduction scalars
-    live in the context and are consumed during normalize.
+    for G[i,j].  Only r and genus are carried; they are the shape two
+    operands must share.  The reduction scalars live in the context and
+    are consumed during normalize.  Everything but the product comes
+    from the shared core, exterior.Combination.
     """
 
-    __slots__ = ("r", "genus", "terms")
+    __slots__ = ("r", "genus")
 
     def __init__(self, r: int, genus: int, terms=None):
         self.r = r
@@ -231,6 +233,12 @@ class NormalForm:
             if coeff:
                 clean[key] = coeff
         self.terms = clean
+
+    def _shape(self):
+        return (self.r, self.genus)
+
+    def _like(self, terms):
+        return NormalForm(self.r, self.genus, terms)
 
     @classmethod
     def zero(cls, ctx: AlgebraContext) -> "NormalForm":
@@ -260,33 +268,10 @@ class NormalForm:
     def odd_gen(cls, ctx: AlgebraContext, i: int, j: int) -> "NormalForm":
         return cls(ctx.r, ctx.genus, {((0,) * ctx.r, (0,) * (ctx.r - 1), ((i, j),)): 1})
 
-    def _match(self, other: "NormalForm"):
-        if (self.r, self.genus) != (other.r, other.genus):
-            raise ValueError("normal forms built over different contexts")
-
-    def __add__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        self._match(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, 0) + coeff
-        return NormalForm(self.r, self.genus, terms)
-
-    def __neg__(self):
-        return NormalForm(self.r, self.genus, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return NormalForm(self.r, self.genus, {k: c * other for k, c in self.terms.items()})
         if not isinstance(other, NormalForm):
-            return NotImplemented
-        self._match(other)
+            return super().__mul__(other)
+        self._check_shape(other)
         terms = {}
         for (u1, v1, o1), c1 in self.terms.items():
             for (u2, v2, o2), c2 in other.terms.items():
@@ -300,12 +285,7 @@ class NormalForm:
                     odd,
                 )
                 terms[key] = terms.get(key, 0) + sign * c1 * c2
-        return NormalForm(self.r, self.genus, terms)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like(terms)
 
     def monomial_degree(self, key) -> int:
         u, v, odd = key
@@ -313,27 +293,6 @@ class NormalForm:
         deg += sum(e * (2 * (i + 2) - 2) for i, e in enumerate(v))
         deg += sum(2 * i - 1 for i, _ in odd)
         return deg
-
-    def degrees(self):
-        return {self.monomial_degree(k) for k in self.terms}
-
-    def homogeneous_part(self, degree: int) -> "NormalForm":
-        return NormalForm(
-            self.r,
-            self.genus,
-            {k: c for k, c in self.terms.items() if self.monomial_degree(k) == degree},
-        )
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda t: (self.monomial_degree(t[0]), t[0]))
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return (self.r, self.genus, self.terms) == (other.r, other.genus, other.terms)
-
-    def __hash__(self):
-        return hash((self.r, self.genus, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"NormalForm(r={self.r}, genus={self.genus}, {print_normal(self)!r})"
@@ -385,12 +344,7 @@ def normalize(expr, ctx: AlgebraContext) -> NormalForm:
     if tag == "int":
         return NormalForm.scalar(ctx, expr[1])
     if tag == "add":
-        # accumulate in one dict; repeated + copies once per term
-        terms = {}
-        for sign, node in expr[1]:
-            for key, coeff in normalize(node, ctx).terms.items():
-                terms[key] = terms.get(key, 0) + sign * coeff
-        return NormalForm(ctx.r, ctx.genus, terms)
+        return NormalForm.zero(ctx).signed_sum((s, normalize(node, ctx)) for s, node in expr[1])
     if tag == "mul":
         out = NormalForm.scalar(ctx, 1)
         for node in expr[1]:

@@ -181,6 +181,9 @@ def test_evaluate(capsys):
         ["normalize", "--genus", "1", "--k0", "h=" + "1" * 5000 + "x", "u1"],
         ["normalize", "--genus", "1", "--k0", "h" * 5000, "u1"],
         ["normalize", "--genus", "1", "--k0", "h" * 5000 + "=" + "1" * 5000, "u1"],
+        # a --k0 name given twice, or one that no k0[...] can refer to
+        ["normalize", "--genus", "1", "--k0", "h=1", "--k0", "h=2", "u1"],
+        ["normalize", "--genus", "1", "--k0", "h = 3", "u1"],
     ],
 )
 def test_domain_and_parse_errors_exit_2(capsys, argv):

@@ -124,6 +124,39 @@ def test_exp_even_input_validation():
     assert exp_even(Multivector.zero(), topo) == Multivector.scalar(1)
 
 
+def _assert_clean(result):
+    # results built without validation hold exactly what validation would keep
+    assert result == Multivector(dict(result.terms))
+    assert 0 not in result.terms.values()
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda g: st.tuples(st.just(g), multivectors(g), multivectors(g))
+    ),
+    st.integers(-3, 3),
+    st.lists(st.integers(0, 9), max_size=8),
+)
+def test_trusted_results_equal_validated_ones(triple, n, indices):
+    genus, x, y = triple
+    topo = SurfaceTopology(genus)
+    results = [wedge(x, y, topo), x + y, x - y, x - x, -x, n * x, x * n, x * 0]
+    results += [grade_part(x, k) for k in range(2 * genus + 1)]
+    results += [exp_even(grade_part(x, 2 * k), topo) for k in range(1, genus + 1)]
+    results.append(parse_multivector(format_multivector(x, topo), topo))
+    for result in results:
+        _assert_clean(result)
+    # Multivector.blade signs by the parity of the sorting permutation
+    inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1 :])
+    if len(set(indices)) < len(indices):
+        expected = Multivector.zero()
+    else:
+        expected = Multivector({tuple(sorted(indices)): n * (-1) ** inversions})
+    assert Multivector.blade(indices, n) == expected
+    _assert_clean(Multivector.blade(indices, n))
+
+
 # -- parsing and printing ----------------------------------------------------
 
 

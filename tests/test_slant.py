@@ -173,9 +173,22 @@ def test_negative_power_rejected():
 
 
 def test_context_shape_mismatch():
-    other = AlgebraContext(r=1, genus=2)
-    with pytest.raises(ValueError):
-        norm("u1", CTX22) + norm("u1", other)
+    # normal forms of different (r, genus) do not combine and never compare equal
+    x = norm("u1", CTX22)
+    for other in (AlgebraContext(r=1, genus=2), AlgebraContext(r=2, genus=3)):
+        y = norm("u1", other)
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: y * x):
+            with pytest.raises(ValueError, match="different contexts"):
+                op()
+        assert x != y and y != x
+        assert NormalForm.zero(other) != NormalForm.zero(CTX22)
+    # a multivector and a normal form are different kinds of combination
+    m = Multivector.scalar(1)
+    one = NormalForm.scalar(CTX22, 1)
+    for op in (lambda: m + one, lambda: one + m, lambda: m - one, lambda: m * one):
+        with pytest.raises(TypeError):
+            op()
+    assert m != one and not (one == m)
 
 
 def test_cup_order_is_immaterial():
