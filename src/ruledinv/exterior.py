@@ -114,13 +114,19 @@ class Combination:
 
     terms maps monomials to nonzero ints.  Immutable by convention: no
     method mutates, operators return fresh instances.  A subclass
-    supplies three hooks:
+    supplies four hooks:
 
     - monomial_degree(m), the degree of one monomial;
     - _shape(), what two operands must share (None here);
     - _like(terms), a result of the same shape from terms whose
       monomials are already valid; it drops zeros and checks nothing
-      else.
+      else;
+    - merge_monomials(m1, m2), the product of two monomials as
+      (monomial, sign), or None when it vanishes.
+
+    x * n scales by an int n.  x * y, for y of x's type and shape, is the
+    bilinear product: each pair of terms multiplies through
+    merge_monomials.  Any other operand is a TypeError.
 
     Public constructors and parsers validate; everything computed from
     valid operands comes through _like.
@@ -157,10 +163,26 @@ class Combination:
     def __neg__(self):
         return self._like({m: -c for m, c in self.terms.items()})
 
+    def _product(self, other):
+        """The bilinear product of self and other; shapes are not checked."""
+        merge = self.merge_monomials
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                hit = merge(m1, m2)
+                if hit is None:
+                    continue
+                m, sign = hit
+                terms[m] = terms.get(m, 0) + sign * c1 * c2
+        return self._like(terms)
+
     def __mul__(self, other):
-        if not isinstance(other, int):
+        if isinstance(other, int):
+            return self._like({m: c * other for m, c in self.terms.items()})
+        if type(other) is not type(self):
             return NotImplemented
-        return self._like({m: c * other for m, c in self.terms.items()})
+        self._check_shape(other)
+        return self._product(other)
 
     __rmul__ = __mul__
 
@@ -191,13 +213,14 @@ class Combination:
 class Multivector(Combination):
     """Sparse integer element of the exterior algebra; monomials are blades.
 
-    The constructor validates each coefficient and blade.  Wedge products
-    go through :func:`wedge`, which also validates generator ranges.
+    The constructor validates each coefficient and blade.  x * y is the
+    wedge product; :func:`wedge` also validates generator ranges.
     """
 
     __slots__ = ()
 
     monomial_degree = staticmethod(len)
+    merge_monomials = staticmethod(merge_blades)
 
     def __init__(self, terms=None):
         clean = {}
@@ -262,18 +285,10 @@ def _check_range(x: Multivector, topo: SurfaceTopology, who: str):
 
 
 def wedge(x: Multivector, y: Multivector, topo: SurfaceTopology) -> Multivector:
-    """Exterior product of x and y over topo's generator set."""
+    """Exterior product x * y: Combination's product, range-checked against topo."""
     _check_range(x, topo, "wedge")
     _check_range(y, topo, "wedge")
-    terms = {}
-    for bx, cx in x.terms.items():
-        for by, cy in y.terms.items():
-            hit = merge_blades(bx, by)
-            if hit is None:
-                continue
-            blade, sign = hit
-            terms[blade] = terms.get(blade, 0) + sign * cx * cy
-    return Multivector._like(terms)
+    return x._product(y)
 
 
 def theta_class(topo: SurfaceTopology) -> Multivector:

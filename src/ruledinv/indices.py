@@ -57,9 +57,6 @@ class H2Class:
     def __sub__(self, other):
         return H2Class(self.s - other.s, self.f - other.f)
 
-    def __neg__(self):
-        return H2Class(-self.s, -self.f)
-
     def __rmul__(self, n: int):
         return H2Class(n * self.s, n * self.f)
 

@@ -56,10 +56,6 @@ class ThetaSeries:
     def constant(cls, value, genus: int) -> "ThetaSeries":
         return cls([value], genus)
 
-    @classmethod
-    def theta(cls, genus: int) -> "ThetaSeries":
-        return cls([0, 1], genus)
-
     @property
     def genus(self) -> int:
         return len(self.coeffs) - 1

@@ -41,6 +41,7 @@ error rather than a stack overflow in parsing or normalizing.
 """
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .exterior import Combination, Multivector, SurfaceTopology, merge_blades, pair_theta_powers
 from .exterior import TextSyntaxError, TokenCursor, clip, format_terms
@@ -219,8 +220,8 @@ class NormalForm(Combination):
     u_1..u_r, v covers v_2..v_r, odd is a sorted tuple of (i, j) pairs
     for G[i,j].  Only r and genus are carried; they are the shape two
     operands must share.  The reduction scalars live in the context and
-    are consumed during normalize.  Everything but the product comes
-    from the shared core, exterior.Combination.
+    are consumed during normalize.  All arithmetic comes from the shared
+    core, exterior.Combination; merge_monomials multiplies two keys.
     """
 
     __slots__ = ("r", "genus")
@@ -268,24 +269,14 @@ class NormalForm(Combination):
     def odd_gen(cls, ctx: AlgebraContext, i: int, j: int) -> "NormalForm":
         return cls(ctx.r, ctx.genus, {((0,) * ctx.r, (0,) * (ctx.r - 1), ((i, j),)): 1})
 
-    def __mul__(self, other):
-        if not isinstance(other, NormalForm):
-            return super().__mul__(other)
-        self._check_shape(other)
-        terms = {}
-        for (u1, v1, o1), c1 in self.terms.items():
-            for (u2, v2, o2), c2 in other.terms.items():
-                hit = merge_blades(o1, o2)
-                if hit is None:
-                    continue
-                odd, sign = hit
-                key = (
-                    tuple(a + b for a, b in zip(u1, u2)),
-                    tuple(a + b for a, b in zip(v1, v2)),
-                    odd,
-                )
-                terms[key] = terms.get(key, 0) + sign * c1 * c2
-        return self._like(terms)
+    @staticmethod
+    def merge_monomials(m1, m2):
+        (u1, v1, o1), (u2, v2, o2) = m1, m2
+        hit = merge_blades(o1, o2)
+        if hit is None:
+            return None
+        odd, sign = hit
+        return (tuple(map(add, u1, u2)), tuple(map(add, v1, v2)), odd), sign
 
     def monomial_degree(self, key) -> int:
         u, v, odd = key

@@ -257,6 +257,53 @@ def test_check_failure_exits_1(capsys, monkeypatch):
     assert result["grids"][0]["first_counterexample"] == {"genus": 1}
 
 
+def test_grid_failures_are_counted_and_reported(capsys, monkeypatch):
+    # each grid's failure branch, reached by wrapping the real routes so
+    # that exactly one grid case goes wrong: genus 1, a1^b1, and in the
+    # oracle grid r0 = 2, d = -1, d0 = 0 (both twists), in the dictionary
+    # grid d = 1, n = 1, d0 = 0
+    handle = {(0, 1): 1}
+    segre, sw_check = checks.ggw_via_segre, checks.sw_equals_ggw_check
+
+    def off_by_one(genus, r0, d, d0, twist, l):
+        got = segre(genus, r0, d, d0, twist, l)
+        return got + 1 if (genus, r0, d, d0, l.terms) == (1, 2, -1, 0, handle) else got
+
+    def refuted(d, n, geom, l):
+        ok = sw_check(d, n, geom, l)
+        return ok and (d, n, geom.genus, geom.v0_degree, l.terms) != (1, 1, 1, 0, handle)
+
+    monkeypatch.setattr(checks, "ggw_via_segre", off_by_one)
+    monkeypatch.setattr(checks, "sw_equals_ggw_check", refuted)
+    oracle = checks.run_oracle_grid(max_genus=1, max_r0=2, max_deg=1)
+    assert oracle.failures == 2
+    assert oracle.first_counterexample == {
+        "genus": 1,
+        "r0": 2,
+        "d": -1,
+        "d0": 0,
+        "aux_twist": 2,
+        "l": "Multivector({(0, 1): 1})",
+        "closed_form": 1,
+        "oracle": 2,
+    }
+    dictionary = checks.run_dictionary_grid(max_genus=1, max_n=1, max_deg=1)
+    assert dictionary.failures == 1
+    assert dictionary.first_counterexample == {
+        "genus": 1,
+        "d": 1,
+        "n": 1,
+        "d0": 0,
+        "l": "Multivector({(0, 1): 1})",
+        "sw": 1,
+        "pair_with_fibre": 4,
+    }
+    code, out, _ = run(capsys, ["check", "--max-genus", "1", "--max-r0", "2", "--max-deg", "1"])
+    assert code == 1
+    assert '"passed": false' in out
+    assert json.loads(out)["result"]["total_failures"] == oracle.failures + dictionary.failures
+
+
 # -- invariant checks survive python -O --------------------------------------
 
 PACKAGE = Path(ruledinv.__file__).resolve().parent

@@ -147,14 +147,25 @@ def test_trusted_results_equal_validated_ones(triple, n, indices):
     results.append(parse_multivector(format_multivector(x, topo), topo))
     for result in results:
         _assert_clean(result)
+    # the shared product against a reference that never calls merge_blades:
+    # each pair of terms gives its sorted blade, signed by the inversion
+    # count of the concatenation, and vanishes on a repeated index
+    reference = Multivector.zero()
+    for bx, cx in x.terms.items():
+        for by, cy in y.terms.items():
+            reference = reference + _sorted_blade(bx + by, cx * cy)
+    assert wedge(x, y, topo) == reference
+    assert x * y == reference
     # Multivector.blade signs by the parity of the sorting permutation
-    inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1 :])
-    if len(set(indices)) < len(indices):
-        expected = Multivector.zero()
-    else:
-        expected = Multivector({tuple(sorted(indices)): n * (-1) ** inversions})
-    assert Multivector.blade(indices, n) == expected
+    assert Multivector.blade(indices, n) == _sorted_blade(indices, n)
     _assert_clean(Multivector.blade(indices, n))
+
+
+def _sorted_blade(indices, coeff):
+    if len(set(indices)) < len(indices):
+        return Multivector.zero()
+    inversions = sum(a > b for i, a in enumerate(indices) for b in indices[i + 1 :])
+    return Multivector({tuple(sorted(indices)): coeff * (-1) ** inversions})
 
 
 # -- parsing and printing ----------------------------------------------------

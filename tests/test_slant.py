@@ -185,7 +185,7 @@ def test_context_shape_mismatch():
     # a multivector and a normal form are different kinds of combination
     m = Multivector.scalar(1)
     one = NormalForm.scalar(CTX22, 1)
-    for op in (lambda: m + one, lambda: one + m, lambda: m - one, lambda: m * one):
+    for op in (lambda: m + one, lambda: one + m, lambda: m - one, lambda: m * one, lambda: one * m):
         with pytest.raises(TypeError):
             op()
     assert m != one and not (one == m)
@@ -244,6 +244,7 @@ def test_product_associativity_fuzz():
         z = norm(random_expr(rng, ctx, depth=2), ctx)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
+        assert x * 3 == 3 * x and (x * 0).is_zero()
 
 
 def test_slant_degree_bookkeeping():
