@@ -106,6 +106,9 @@ def run_dictionary_grid(max_genus: int = 4, max_n: int = 3, max_deg: int = 3) ->
 
 
 def run_all(max_genus: int = 4, max_r0: int = 4, max_deg: int = 3) -> list[CheckReport]:
+    """Both grids; bounds that leave a grid empty are refused before any case runs."""
+    if max_genus < 0 or max_r0 < 1 or max_deg < 0:
+        raise ValueError("empty check grid: needs max_genus >= 0, max_r0 >= 1, max_deg >= 0")
     return [
         run_oracle_grid(max_genus, max_r0, max_deg),
         run_dictionary_grid(max_genus, max_r0 - 1, max_deg),

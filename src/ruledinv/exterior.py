@@ -302,8 +302,9 @@ def theta_divided_power(topo: SurfaceTopology, k: int) -> Multivector:
 
     Agrees with grade_part(exp_even(theta_class(topo)), 2k); distinct
     a_i^b_i blocks commute, so each k-subset of handles contributes one
-    blade with coefficient +1.  Cached: results are immutable and the
-    cross-validation grids ask for the same powers constantly.
+    blade with coefficient +1.  Cached for the Segre oracle
+    (picard.ggw_via_segre): results are immutable and its grid asks for
+    the same powers constantly.  The closed forms never build it.
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
@@ -363,14 +364,22 @@ def pair_theta_powers(l: Multivector, topo: SurfaceTopology, scale: int, powers)
     """Sum over i in powers of the top pairing of (scale*Theta)^i/i! with l.
 
     The one kernel behind the closed forms: the count scales Theta by the
-    target rank, the Seiberg-Witten value by half the fibre pairing.  The
-    cached Theta^i/i! is paired as it is and scale^i multiplies the
-    integer pairing.  An empty powers range pairs nothing, so l is not
-    range-checked then.
+    target rank, the Seiberg-Witten value by half the fibre pairing.
+    Theta^i/i! is the sum of the i-handle blades, so only handle blades
+    of l, made of whole a_k^b_k pairs, reach the top grade.  A handle
+    blade B pairs to +1 with Theta^i/i! for i = g - |B|/2 alone, since
+    disjoint degree-2 blocks commute; a term c*B adds c*scale^i when
+    that i is in powers.  powers is a range or tuple of ints.  An empty
+    powers pairs nothing, so l is not range-checked then.
     """
+    if powers:
+        _check_range(l, topo, "pair_theta_powers")
     total = 0
-    for i in powers:
-        total += scale**i * top_pairing(wedge(theta_divided_power(topo, i), l, topo), topo)
+    for blade, coeff in l.terms.items():
+        i = topo.genus - len(blade) // 2
+        pairs = zip(blade[::2], blade[1::2])
+        if len(blade) % 2 == 0 and i in powers and all(x % 2 == 0 and y == x + 1 for x, y in pairs):
+            total += coeff * scale**i
     return total
 
 

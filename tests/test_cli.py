@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ruledinv
-from ruledinv import checks
+from ruledinv import checks, exterior
 from ruledinv.cli import main
 
 
@@ -184,6 +185,10 @@ def test_evaluate(capsys):
         # a --k0 name given twice, or one that no k0[...] can refer to
         ["normalize", "--genus", "1", "--k0", "h=1", "--k0", "h=2", "u1"],
         ["normalize", "--genus", "1", "--k0", "h = 3", "u1"],
+        # bounds that leave a check grid empty would pass with nothing checked
+        ["check", "--max-genus", "-1"],
+        ["check", "--max-r0", "0"],
+        ["check", "--max-deg", "-1"],
     ],
 )
 def test_domain_and_parse_errors_exit_2(capsys, argv):
@@ -331,6 +336,10 @@ def test_oracle_shares_no_code_with_the_kernel():
             imported.update(name.rpartition(".")[2] for name in names)
     assert not imported & {"invariants", "slant", "checks", "cli"}
     assert "pair_theta_powers" not in source
+    # and the kernel does not reach the oracle's generic product and pairing
+    kernel = inspect.getsource(exterior.pair_theta_powers)
+    for name in ("wedge", "top_pairing", "theta_divided_power", "_product", "merge_blades"):
+        assert name not in kernel
 
 
 @pytest.mark.parametrize(
@@ -355,6 +364,43 @@ def test_optimized_interpreter_gives_same_bytes(argv):
     plain = cli()
     assert plain[0] == 0 and plain[1]
     assert cli("-O") == plain
+
+
+@pytest.mark.parametrize(
+    "argv,key,want",
+    [
+        (["ggw", "--genus", "200", "--r0", "2", "--v", "200"], "value", 2**200),
+        (
+            ["sw", "--genus", "200", "--d", "150", "--n", "1", "--deg-v0", "0",
+             "--form", "1 + a1^b1 + a1^b2 + 7*a200^b200"],
+            "plus",
+            2**200 + 8 * 2**199,
+        ),
+        (
+            ["evaluate", "--genus", "60", "--r0", "3", "--v", "2",
+             "u1^2 + G[1,1]*G[1,2] + 5*G[1,3]*G[1,4]*u1 + G[1,1]"],
+            "value",
+            8 * 3**59,
+        ),
+        # u1^2 at v = 32 asks for Theta^30/30!, which has C(60, 30) blades
+        (["evaluate", "--genus", "60", "--r0", "3", "--v", "32", "u1^2"], "value", 0),
+        # v = 0 keeps only Theta^64/64!, which a1^b1 cannot reach
+        (["ggw", "--genus", "64", "--r0", "3", "--v", "0", "--form", "1 + 2*a1^b1"], "value", 3**64),
+    ],
+    ids=["ggw", "sw", "evaluate", "evaluate-middle-power", "ggw-truncated"],
+)
+def test_large_genus_through_the_cli(argv, key, want):
+    # expected values come from pow, not the kernel; the timeout
+    # turns a kernel that builds theta powers into a failure, not a hang
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ruledinv", *argv], capture_output=True, env=env, timeout=20
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    result = json.loads(proc.stdout)["result"]
+    assert result[key] == (str(want) if abs(want) > 2**53 - 1 else want)
+    if argv[0] == "sw":
+        assert result["w_c"] == 202
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))

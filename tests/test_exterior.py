@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from ruledinv.exterior import (
     exp_even,
     format_multivector,
     grade_part,
+    pair_theta_powers,
     parse_multivector,
     theta_class,
     theta_divided_power,
@@ -291,3 +294,66 @@ def test_divided_powers_match_exp_grades(genus):
     expo = exp_even(theta_class(topo), topo)
     for k in range(genus + 2):
         assert theta_divided_power(topo, k) == grade_part(expo, 2 * k)
+
+
+# -- the theta-power kernel --------------------------------------------------
+
+
+def _powers(genus):
+    """Full, empty, offset and single-power ranges, some past the genus."""
+    bound = st.integers(0, genus + 2)
+    return st.one_of(
+        st.just(range(genus + 1)),
+        st.sampled_from((range(0), ())),
+        st.tuples(bound, bound).map(lambda ends: range(*sorted(ends))),
+        bound.map(lambda i: (i,)),
+    )
+
+
+@st.composite
+def kernel_cases(draw):
+    genus = draw(st.integers(0, 6))
+    rank = 2 * genus
+    coeff = st.integers(-(2**60), 2**60)
+    if draw(st.booleans()) and genus <= 4:
+        # dense: every basis blade, each with its own 60-bit coefficient
+        rng = draw(st.randoms(use_true_random=False))
+        blades = [tuple(i for i in range(rank) if mask >> i & 1) for mask in range(1 << rank)]
+        terms = {blade: rng.getrandbits(61) - 2**60 for blade in blades}
+    else:
+        # random blades, mostly odd or non-handle, mixed with handle blades
+        handles = st.sets(st.integers(0, genus - 1) if genus else st.nothing())
+        handle_blades = handles.map(lambda hs: [i for h in hs for i in (2 * h, 2 * h + 1)])
+        generators = st.sets(st.integers(0, rank - 1) if rank else st.nothing(), max_size=rank)
+        blades = draw(st.lists(generators | handle_blades, max_size=24))
+        terms = {tuple(sorted(blade)): draw(coeff) for blade in blades}
+    return genus, Multivector(terms), draw(st.integers(-3, 5)), draw(_powers(genus))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_pair_theta_powers_matches_wedged_theta_powers(case):
+    # reference: build each Theta^i/i!, wedge it with l and read the top blade
+    genus, l, scale, powers = case
+    topo = SurfaceTopology(genus)
+    want = sum(
+        scale**i * top_pairing(wedge(theta_divided_power(topo, i), l, topo), topo) for i in powers
+    )
+    assert pair_theta_powers(l, topo, scale, powers) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 12).flatmap(lambda g: st.tuples(st.just(g), _powers(g))),
+    st.integers(-3, 5),
+    st.integers(-3, 5),
+)
+def test_pair_theta_powers_binomial_identity(pair, r0, t):
+    # l = sum_k t^k Theta^k/k! pairs to sum_{i in powers} r0^i t^(g-i) C(g, i)
+    genus, powers = pair
+    topo = SurfaceTopology(genus)
+    l = Multivector.zero()
+    for k in range(genus + 1):
+        l = l + t**k * theta_divided_power(topo, k)
+    want = sum(r0**i * t ** (genus - i) * math.comb(genus, i) for i in powers if i <= genus)
+    assert pair_theta_powers(l, topo, r0, powers) == want
