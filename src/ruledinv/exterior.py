@@ -20,7 +20,8 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
+from string import ascii_letters
 
 __all__ = [
     "SurfaceTopology",
@@ -395,9 +396,10 @@ def grade_part(x: Multivector, k: int) -> Multivector:
 # Forms and slant expressions (slant.py) share one tokenizer, one token
 # cursor and one term printer.  Tokens are integers, words (a letter or
 # '_', then letters, digits or '_') and the symbols < > | ( ) . , + - * ^
-# [ ]; whitespace between them is ignored.  Malformed text raises
-# TextSyntaxError, a ValueError ending in "at position N" with N the
-# offset of the offending character.  Integer literals and printed
+# [ ]; whitespace between them is ignored.  A token is its own text, and
+# its position is found only when an error needs it.  Malformed text
+# raises TextSyntaxError, a ValueError ending in "at position N" with N
+# the offset of the offending character.  Integer literals and printed
 # integers stay within the interpreter's digit limit (4300 by default).
 #
 #   form  := ['+'|'-'] term (('+'|'-') term)*
@@ -414,92 +416,93 @@ class TextSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<word>[A-Za-z_][A-Za-z_\d]*)|(?P<sym>[<>|().,+\-*^\[\]])|(?P<bad>\S))"
-)
-_WORD_SPLIT = re.compile(r"^([A-Za-z]+?)(\d+)$")
+_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_\d]*|[<>|().,+\-*^\[\]]|\S)")
+# a character no token class takes; the tokenizer's \S catches it alone
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_<>|().,+\-*^\[\]]")
+# the kinds of token other than symbols, read off the first character
+_KIND_TESTS = {"int": str.isdecimal, "word": str.isidentifier}
 
 
 class TokenCursor:
-    """Tokens (kind, value, position) of one text and a read position.
+    """The tokens of one text, as strings, and a read index into them.
 
-    kind is "int", "word", "eof" or the symbol.  Parsers subclass this and
-    set error to their own TextSyntaxError subclass.
+    A token's kind is read off its text: "" ends the input, a symbol is
+    its own kind, one that starts with a decimal digit is an int (taken
+    as an int) and any other a word.  An error names a token by index and
+    scans the text again for its position.  Parsers subclass this and set
+    error to their own TextSyntaxError subclass.
     """
 
     error = TextSyntaxError
 
     def __init__(self, text: str):
-        self.tokens = self._scan(text)
-        self.tokens.append(("eof", None, len(text)))
-        self.pos = 0
-
-    def _scan(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
         # no int or word may outgrow the digit limit, so int() of its digits succeeds
         limit = sys.get_int_max_str_digits()
-        tokens = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            value, at = m.group(kind), m.start(kind)
-            if kind == "bad":
-                raise self.error(f"unexpected character {value!r}", at)
-            if kind in ("int", "word") and 0 < limit < len(value):
-                raise self.error(f"{kind} longer than the {limit}-digit limit", at)
-            if kind == "int":
-                value = int(value)
-            elif kind == "sym":
-                kind = value
-            tokens.append((kind, value, at))
-        return tokens
+        bad = _BAD_RE.search(text)
+        if 0 < limit < max(map(len, self.tokens), default=0):
+            index, tok = next((n, tok) for n, tok in enumerate(self.tokens) if len(tok) > limit)
+            kind = "int" if tok[0].isdecimal() else "word"
+            error = self.fail(f"{kind} longer than the {limit}-digit limit", index)
+            if bad is None or error.position < bad.start():
+                raise error
+        if bad is not None:
+            raise self.error(f"unexpected character {bad.group()!r}", bad.start())
+        self.tokens.append("")
+        self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def fail(self, message, index):
+        """The error for message at token index; past the last token is the end of the text."""
+        m = next(islice(_TOKEN_RE.finditer(self.text), index, None), None)
+        return self.error(message, m.start(1) if m else len(self.text))
 
     def take(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise self.expected(repr(kind), tok)
+        """The next token, which must be of kind: a symbol, "int" or "word"; an int as an int."""
+        tok = self.tokens[self.pos]
+        test = _KIND_TESTS.get(kind)
+        if not (test(tok[:1]) if test else tok == kind):
+            raise self.expected(repr(kind), self.pos)
         self.pos += 1
-        return tok
+        return int(tok) if kind == "int" else tok
 
-    def expected(self, what, tok):
-        """The error for finding tok where what was expected."""
-        found = "end of input" if tok[0] == "eof" else clip(repr(tok[1]))
-        return self.error(f"expected {what}, found {found}", tok[2])
+    def echo(self, index):
+        """The token at index as an error line shows it; an int as its value."""
+        tok = self.tokens[index]
+        return clip(repr(int(tok) if tok[:1].isdecimal() else tok))
 
-    def at(self, kind):
-        return self.peek()[0] == kind
+    def expected(self, what, index):
+        """The error for finding token index where what was expected."""
+        found = self.echo(index) if self.tokens[index] else "end of input"
+        return self.fail(f"expected {what}, found {found}", index)
 
-    def check_index(self, what, value, hi, position):
+    def check_index(self, what, value, hi, index):
         if not 1 <= value <= hi:
-            raise self.error(
-                f"{clip(what)} index {clip(str(value))} out of range 1..{hi}", position
-            )
+            raise self.fail(f"{clip(what)} index {clip(str(value))} out of range 1..{hi}", index)
 
     def split_word(self, tok):
         """(letters, index) of a word like 'c12'; (None, None) for any other token."""
-        m = _WORD_SPLIT.match(tok[1]) if tok[0] == "word" else None
-        if m:
-            return m.group(1), int(m.group(2))
+        digits = tok.lstrip(ascii_letters)
+        if digits.isdecimal() and len(digits) < len(tok):
+            return tok[: -len(digits)], int(digits)
         return None, None
 
     def signed_terms(self, term):
         """['+'|'-'] term (('+'|'-') term)* as a list of (sign, term())."""
         terms = []
         while True:
-            kind = self.peek()[0]
-            if kind in ("+", "-"):
+            tok = self.tokens[self.pos]
+            if tok == "+" or tok == "-":
                 self.pos += 1
             elif terms:
                 # only the first term may go without a sign
                 return terms
-            terms.append((-1 if kind == "-" else 1, term()))
+            terms.append((-1 if tok == "-" else 1, term()))
 
     def finish(self, node):
         """node, once the whole text has been read; trailing input is an error."""
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise self.error(f"trailing input {clip(repr(tok[1]))}", tok[2])
+        if self.tokens[self.pos]:
+            raise self.fail(f"trailing input {self.echo(self.pos)}", self.pos)
         return node
 
 
@@ -543,28 +546,28 @@ class _FormParser(TokenCursor):
         self.topo = topo
 
     def term(self):
-        if not self.at("int"):
+        if not self.tokens[self.pos][:1].isdecimal():
             return Multivector.blade(self.blade())
-        coeff = self.take("int")[1]
-        if not self.at("*"):
+        coeff = self.take("int")
+        if self.tokens[self.pos] != "*":
             return Multivector.scalar(coeff)
-        self.take("*")
+        self.pos += 1
         return Multivector.blade(self.blade(), coeff)
 
     def blade(self):
         indices = [self.gen()]
-        while self.at("^"):
-            self.take("^")
+        while self.tokens[self.pos] == "^":
+            self.pos += 1
             indices.append(self.gen())
         return indices
 
     def gen(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         letters, k = self.split_word(tok)
         if letters not in ("a", "b"):
-            raise self.expected("a generator", tok)
-        self.check_index(f"generator {tok[1]}", k, self.topo.genus, tok[2])
-        self.take("word")
+            raise self.expected("a generator", self.pos)
+        self.check_index(f"generator {tok}", k, self.topo.genus, self.pos)
+        self.pos += 1
         return self.topo.a(k) if letters == "a" else self.topo.b(k)
 
 

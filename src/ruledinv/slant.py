@@ -9,16 +9,20 @@ symplectic basis.  Normal monomials use
     v_i = <c_i|S>         even, degree 2i-2, kept for i >= 2
     G[i,j] = <c_i|g_j>    odd, degree 2i-1
 
-v_1 is eliminated eagerly: <c_1|S> reduces to a context scalar, minus
-the kernel degree.  Products of cup classes split left-to-right;
-splitting over pt is multiplicative, over an odd class it
-Leibniz-expands with the sign of the right factor's degree, and over
-S it picks up the intersection-form double sum.  Degree-2 classes
-pulled back from the curve slant to a context number over S and to zero
-over pt and the odd classes.
+v_1 is eliminated eagerly: <c_1|S> reduces to a context scalar s_1,
+minus the kernel degree; s_i = v_i for i >= 2.  A cup c_{i_1}...c_{i_k}
+slants in one pass, over S with the intersection-form double sum:
 
-Those signs are all +1: every cup atom has even degree (c_i has degree
-2i, a pulled-back class degree 2), so the code writes none.
+    over pt    u_{i_1}...u_{i_k}
+    over g_j   sum_m G[i_m,j] prod_{n!=m} u_{i_n}
+    over S     sum_m s_{i_m} prod_{n!=m} u_{i_n} - sum_{m<n} sum_h prod_{p!=m,n} u_{i_p}
+               * (G[i_m,2h-1] G[i_n,2h] - G[i_m,2h] G[i_n,2h-1])
+
+Every cup atom has even degree (c_i has degree 2i, a pulled-back class
+degree 2), so moving one past another costs no sign; a G pair is signed
+by its order, m's factor on the left.  Degree-2 classes pulled back from
+the curve slant to a context number over S and to zero over pt and the
+odd classes.
 
 Accepted syntax (whitespace-insensitive), read by the tokenizer that
 exterior's forms use too; malformed text raises SlantSyntaxError, whose
@@ -41,6 +45,7 @@ error rather than a stack overflow in parsing or normalizing.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import add
 
 from .exterior import Combination, Multivector, SurfaceTopology, merge_blades, pair_theta_powers
@@ -102,9 +107,9 @@ class _Parser(TokenCursor):
         self.ctx = ctx
         self.depth = 0
 
-    def check_nesting(self, count, what, tok):
+    def check_nesting(self, count, what):
         if count > MAX_NESTING:
-            raise SlantSyntaxError(f"more than {MAX_NESTING} {what}", tok[2])
+            raise self.fail(f"more than {MAX_NESTING} {what}", self.pos)
 
     def expr(self):
         terms = self.signed_terms(self.term)
@@ -114,8 +119,8 @@ class _Parser(TokenCursor):
 
     def term(self):
         factors = [self.factor()]
-        while self.at("*"):
-            self.take("*")
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
             factors.append(self.factor())
         if len(factors) == 1:
             return factors[0]
@@ -124,49 +129,50 @@ class _Parser(TokenCursor):
     def factor(self):
         node = self.primary()
         powers = 0
-        while self.at("^"):
+        while self.tokens[self.pos] == "^":
             powers += 1
-            self.check_nesting(powers, "'^' in a row", self.take("^"))
-            node = ("pow", node, self.take("int")[1])
+            self.check_nesting(powers, "'^' in a row")
+            self.pos += 1
+            node = ("pow", node, self.take("int"))
         return node
 
     def primary(self):
-        tok = self.peek()
-        if tok[0] == "int":
-            self.take("int")
-            return ("int", tok[1])
-        if tok[0] == "(":
+        tok = self.tokens[self.pos]
+        if tok[:1].isdecimal():
+            return ("int", self.take("int"))
+        if tok == "(":
             self.depth += 1
-            self.check_nesting(self.depth, "nested parentheses", self.take("("))
+            self.check_nesting(self.depth, "nested parentheses")
+            self.pos += 1
             node = self.expr()
             self.take(")")
             self.depth -= 1
             return node
-        if tok[0] == "<":
+        if tok == "<":
             return self.slant()
+        if tok == "G":
+            self.pos += 1
+            self.take("[")
+            i = self.take("int")
+            self.check_index("chern", i, self.ctx.r, self.pos - 1)
+            self.take(",")
+            j = self.take("int")
+            self.check_index("odd", j, 2 * self.ctx.genus, self.pos - 1)
+            self.take("]")
+            return ("slant", (("c", i),), ("gamma", j))
         letters, num = self.split_word(tok)
         if letters in ("u", "v"):
-            self.take("word")
-            self.check_index("chern", num, self.ctx.r, tok[2])
+            self.check_index("chern", num, self.ctx.r, self.pos)
+            self.pos += 1
             return ("slant", (("c", num),), ("pt",) if letters == "u" else ("sigma",))
-        if tok[1] == "G":
-            self.take("word")
-            self.take("[")
-            i_tok = self.take("int")
-            self.check_index("chern", i_tok[1], self.ctx.r, i_tok[2])
-            self.take(",")
-            j_tok = self.take("int")
-            self.check_index("odd", j_tok[1], 2 * self.ctx.genus, j_tok[2])
-            self.take("]")
-            return ("slant", (("c", i_tok[1]),), ("gamma", j_tok[1]))
-        raise self.expected("a factor", tok)
+        raise self.expected("a factor", self.pos)
 
     def slant(self):
-        self.take("<")
+        self.pos += 1
         cup = [self.atom()]
-        while self.at("."):
-            self.take(".")
-            self.check_nesting(len(cup) + 1, "atoms in a cup", self.peek())
+        while self.tokens[self.pos] == ".":
+            self.pos += 1
+            self.check_nesting(len(cup) + 1, "atoms in a cup")
             cup.append(self.atom())
         self.take("|")
         base = self.base()
@@ -174,34 +180,31 @@ class _Parser(TokenCursor):
         return ("slant", tuple(cup), base)
 
     def atom(self):
-        tok = self.peek()
-        if tok[1] == "k0":
-            self.take("word")
+        tok = self.tokens[self.pos]
+        if tok == "k0":
+            self.pos += 1
             self.take("[")
-            name = self.take("word")[1]
+            name = self.take("word")
             self.take("]")
             return ("k0", name)
         letters, num = self.split_word(tok)
         if letters == "c":
-            self.take("word")
-            self.check_index("chern", num, self.ctx.r, tok[2])
+            self.check_index("chern", num, self.ctx.r, self.pos)
+            self.pos += 1
             return ("c", num)
-        raise self.expected("a cup atom", tok)
+        raise self.expected("a cup atom", self.pos)
 
     def base(self):
-        tok = self.peek()
-        if tok[1] == "pt":
-            self.take("word")
-            return ("pt",)
-        if tok[1] == "S":
-            self.take("word")
-            return ("sigma",)
+        tok = self.tokens[self.pos]
+        if tok == "pt" or tok == "S":
+            self.pos += 1
+            return ("pt",) if tok == "pt" else ("sigma",)
         letters, num = self.split_word(tok)
         if letters == "g":
-            self.take("word")
-            self.check_index("odd", num, 2 * self.ctx.genus, tok[2])
+            self.check_index("odd", num, 2 * self.ctx.genus, self.pos)
+            self.pos += 1
             return ("gamma", num)
-        raise self.expected("a base class", tok)
+        raise self.expected("a base class", self.pos)
 
 
 def parse_expr(text: str, ctx: AlgebraContext):
@@ -227,19 +230,17 @@ class NormalForm(Combination):
     __slots__ = ("r", "genus")
 
     def __init__(self, r: int, genus: int, terms=None):
-        self.r = r
-        self.genus = genus
-        clean = {}
-        for key, coeff in (terms or {}).items():
-            if coeff:
-                clean[key] = coeff
-        self.terms = clean
+        self.r, self.genus = r, genus
+        self.terms = {key: coeff for key, coeff in (terms or {}).items() if coeff}
 
     def _shape(self):
         return (self.r, self.genus)
 
     def _like(self, terms):
-        return NormalForm(self.r, self.genus, terms)
+        out = object.__new__(NormalForm)
+        out.r, out.genus = self.r, self.genus
+        out.terms = {key: coeff for key, coeff in terms.items() if coeff}
+        return out
 
     @classmethod
     def zero(cls, ctx: AlgebraContext) -> "NormalForm":
@@ -247,23 +248,12 @@ class NormalForm(Combination):
 
     @classmethod
     def scalar(cls, ctx: AlgebraContext, n: int) -> "NormalForm":
-        return cls(ctx.r, ctx.genus, {cls.unit_key(ctx): n})
-
-    @staticmethod
-    def unit_key(ctx: AlgebraContext):
-        return ((0,) * ctx.r, (0,) * (ctx.r - 1), ())
+        return cls(ctx.r, ctx.genus, {((0,) * ctx.r, (0,) * (ctx.r - 1), ()): n})
 
     @classmethod
     def u_gen(cls, ctx: AlgebraContext, i: int) -> "NormalForm":
         u = tuple(1 if k == i - 1 else 0 for k in range(ctx.r))
         return cls(ctx.r, ctx.genus, {(u, (0,) * (ctx.r - 1), ()): 1})
-
-    @classmethod
-    def v_gen(cls, ctx: AlgebraContext, i: int) -> "NormalForm":
-        if i < 2:
-            raise ValueError("v_1 is not a normal generator; it reduces to a scalar")
-        v = tuple(1 if k == i - 2 else 0 for k in range(ctx.r - 1))
-        return cls(ctx.r, ctx.genus, {((0,) * ctx.r, v, ()): 1})
 
     @classmethod
     def odd_gen(cls, ctx: AlgebraContext, i: int, j: int) -> "NormalForm":
@@ -291,42 +281,43 @@ class NormalForm(Combination):
 
 def _reduce_slant(cup, base, ctx: AlgebraContext) -> NormalForm:
     # pulled-back degree-2 classes peel off first: they cap the base
-    for pos, atom in enumerate(cup):
-        if atom[0] == "k0":
-            name = atom[1]
-            if name not in ctx.k0_eval:
-                raise ValueError(f"unknown base-class name {clip(repr(name))} in context")
-            if base[0] != "sigma":
-                return NormalForm.zero(ctx)
-            rest = cup[:pos] + cup[pos + 1 :]
-            return ctx.k0_eval[name] * _reduce_slant(rest, ("pt",), ctx)
-    if not cup:
-        # the empty cup is the unit class; it only sees the point
-        if base[0] == "pt":
-            return NormalForm.scalar(ctx, 1)
-        return NormalForm.zero(ctx)
-    if len(cup) == 1:
-        i = cup[0][1]
-        if base[0] == "pt":
-            return NormalForm.u_gen(ctx, i)
-        if base[0] == "gamma":
-            return NormalForm.odd_gen(ctx, i, base[1])
-        if i == 1:
-            return NormalForm.scalar(ctx, -ctx.scalar_degree)
-        return NormalForm.v_gen(ctx, i)
-    head, tail = cup[:1], cup[1:]
+    scale = 1
+    for name in (atom[1] for atom in cup if atom[0] == "k0"):
+        if name not in ctx.k0_eval:
+            raise ValueError(f"unknown base-class name {clip(repr(name))} in context")
+        if base[0] != "sigma":
+            return NormalForm.zero(ctx)
+        scale, base = ctx.k0_eval[name], ("pt",)
+    chern = [atom[1] for atom in cup if atom[0] == "c"]
+    no_v = (0,) * (ctx.r - 1)
+
+    def u(*drop):
+        # exponents of the u_i from the atoms not at the positions in drop
+        exps = [0] * ctx.r
+        for m, i in enumerate(chern):
+            exps[i - 1] += m not in drop
+        return tuple(exps)
+
     if base[0] == "pt":
-        return _reduce_slant(head, base, ctx) * _reduce_slant(tail, base, ctx)
-    out = _reduce_slant(head, base, ctx) * _reduce_slant(tail, ("pt",), ctx)
-    out = out + _reduce_slant(head, ("pt",), ctx) * _reduce_slant(tail, base, ctx)
-    if base[0] == "gamma":
-        return out
-    corr = NormalForm.zero(ctx)
-    for h in range(1, ctx.genus + 1):
-        odd1, odd2 = ("gamma", 2 * h - 1), ("gamma", 2 * h)
-        corr = corr + _reduce_slant(head, odd1, ctx) * _reduce_slant(tail, odd2, ctx)
-        corr = corr - _reduce_slant(head, odd2, ctx) * _reduce_slant(tail, odd1, ctx)
-    return out - corr
+        keys = [((u(), no_v, ()), 1)]
+    elif base[0] == "gamma":
+        keys = [((u(m), no_v, ((i, base[1]),)), 1) for m, i in enumerate(chern)]
+    else:
+        keys = [
+            ((u(m), no_v, ()), -ctx.scalar_degree) if i == 1
+            else ((u(m), no_v[: i - 2] + (1,) + no_v[i - 1 :], ()), 1)
+            for m, i in enumerate(chern)
+        ]
+        for m, n in combinations(range(len(chern)), 2):
+            rest = u(m, n)
+            for h in range(1, ctx.genus + 1):
+                for jm, jn, sign in ((2 * h - 1, 2 * h, -1), (2 * h, 2 * h - 1, 1)):
+                    odd, flip = merge_blades(((chern[m], jm),), ((chern[n], jn),))
+                    keys.append(((rest, no_v, odd), sign * flip))
+    terms = {}
+    for key, coeff in keys:
+        terms[key] = terms.get(key, 0) + scale * coeff
+    return NormalForm(ctx.r, ctx.genus, terms)
 
 
 def normalize(expr, ctx: AlgebraContext) -> NormalForm:
@@ -337,17 +328,22 @@ def normalize(expr, ctx: AlgebraContext) -> NormalForm:
     if tag == "add":
         return NormalForm.zero(ctx).signed_sum((s, normalize(node, ctx)) for s, node in expr[1])
     if tag == "mul":
-        out = NormalForm.scalar(ctx, 1)
-        for node in expr[1]:
+        out = normalize(expr[1][0], ctx)
+        for node in expr[1][1:]:
             out = out * normalize(node, ctx)
         return out
     if tag == "pow":
         if expr[2] < 0:
             raise ValueError(f"negative power {expr[2]}")
-        base = normalize(expr[1], ctx)
+        # square and multiply: products associate, so this is base^e exactly
+        base, e = normalize(expr[1], ctx), expr[2]
         out = NormalForm.scalar(ctx, 1)
-        for _ in range(expr[2]):
-            out = out * base
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
     if tag == "slant":
         return _reduce_slant(tuple(expr[1]), tuple(expr[2]), ctx)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ruledinv.exterior import (
     Multivector,
     SurfaceTopology,
+    TextSyntaxError,
     exp_even,
     format_multivector,
     grade_part,
@@ -194,6 +195,34 @@ def test_parse_multivector_errors_carry_position():
         parse_multivector("a2", topo)
     with pytest.raises(ValueError, match="position"):
         parse_multivector("2*", topo)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a1^b1 + 3*", "expected a generator, found end of input at position 10"),
+        ("a1 ^ c2", "expected a generator, found 'c2' at position 5"),
+        ("a1 b1", "trailing input 'b1' at position 3"),
+        ("a1^b1 + int", "expected a generator, found 'int' at position 8"),
+        ("u1 + é", "unexpected character 'é' at position 5"),
+        pytest.param(
+            "9" * 4301 + " é",
+            "int longer than the 4300-digit limit at position 0",
+            id="long-int-first",
+        ),
+        pytest.param(
+            "é " + "9" * 4301, "unexpected character 'é' at position 0", id="bad-character-first"
+        ),
+        pytest.param(
+            "x" * 4301, "word longer than the 4300-digit limit at position 0", id="long-word"
+        ),
+    ],
+)
+def test_parse_multivector_error_messages(text, message):
+    with pytest.raises(TextSyntaxError) as err:
+        parse_multivector(text, SurfaceTopology(1))
+    assert str(err.value) == message
+    assert message.endswith(f"at position {err.value.position}")
 
 
 # grammar characters of both languages, digits that int() does and does

@@ -10,6 +10,7 @@ from ruledinv.slant import (
     AlgebraContext,
     NormalForm,
     SlantSyntaxError,
+    _reduce_slant,
     evaluate_abelian,
     normalize,
     parse_expr,
@@ -66,14 +67,38 @@ def test_parse_whitespace_insensitive():
         ("<c1|q>", 4),
         ("<c1,pt>", 3),
         ("<k0[h|pt>", 5),
+        # whole messages where the tokens are scanned ahead of the parse
+        ("u1 + é", "unexpected character 'é' at position 5"),
+        pytest.param(
+            "9" * 4301 + " é",
+            "int longer than the 4300-digit limit at position 0",
+            id="long-int-first",
+        ),
+        pytest.param(
+            "é " + "9" * 4301, "unexpected character 'é' at position 0", id="bad-character-first"
+        ),
+        pytest.param(
+            "x" * 4301, "word longer than the 4300-digit limit at position 0", id="long-word"
+        ),
+        ("u1 0012", "trailing input 12 at position 3"),
+        ("<c1|\t\tq>", "expected a base class, found 'q' at position 6"),
+        ("G[1, 0012]", "odd index 12 out of range 1..4 at position 5"),
+        ("u1^2^", "expected 'int', found end of input at position 5"),
+        ("u1^int", "expected 'int', found 'int' at position 3"),
+        ("<k0[12]|S>", "expected 'word', found 12 at position 4"),
     ],
 )
 def test_parse_errors_carry_positions(text, position):
+    # position is the offset alone, or the whole message ending in it
+    message = position if isinstance(position, str) else None
+    if message:
+        position = int(message.rsplit(" ", 1)[1])
     with pytest.raises(SlantSyntaxError) as err:
         parse_expr(text, CTX22)
     assert err.value.position == position
     assert isinstance(err.value, ValueError)
     assert f"position {position}" in str(err.value)
+    assert message in (None, str(err.value))
 
 
 @pytest.mark.parametrize(
@@ -137,8 +162,7 @@ def test_genus_zero_sigma_square():
 def test_first_class_sigma_is_a_scalar():
     nf = norm("<c1|S>", CTX22)
     assert nf == NormalForm.scalar(CTX22, 1)  # -(-1)
-    with pytest.raises(ValueError):
-        NormalForm.v_gen(CTX22, 1)
+    assert norm("v1", CTX22) == nf
 
 
 def test_point_base_splits_multiplicatively():
@@ -163,6 +187,8 @@ def test_print_forms():
     assert print_normal(norm("-v2", CTX22)) == "-v2"
     assert print_normal(norm("2^3 - u2*7", CTX22)) == "8 - 7*u2"
     assert print_normal(norm("G[1,2]*G[1,1]", CTX22)) == "-G[1,1]*G[1,2]"
+    # any decimal digit reads as int() reads it
+    assert print_normal(norm("u1^٣", CTX22)) == "u1^3"
 
 
 def test_negative_power_rejected():
@@ -203,6 +229,74 @@ def test_odd_generators_anticommute():
     b = NormalForm.odd_gen(CTX22, 2, 3)
     assert (a * a).is_zero()
     assert a * b == -(b * a)
+
+
+def reference_reduce(cup, base, ctx):
+    """The slant reduction as a left-to-right recursion over the cup."""
+    for pos, atom in enumerate(cup):
+        if atom[0] == "k0":
+            name = atom[1]
+            if name not in ctx.k0_eval:
+                raise ValueError(f"unknown base-class name {name!r} in context")
+            if base[0] != "sigma":
+                return NormalForm.zero(ctx)
+            rest = cup[:pos] + cup[pos + 1 :]
+            return ctx.k0_eval[name] * reference_reduce(rest, ("pt",), ctx)
+    if not cup:
+        # the empty cup is the unit class; it only sees the point
+        if base[0] == "pt":
+            return NormalForm.scalar(ctx, 1)
+        return NormalForm.zero(ctx)
+    if len(cup) == 1:
+        i = cup[0][1]
+        if base[0] == "pt":
+            return NormalForm.u_gen(ctx, i)
+        if base[0] == "gamma":
+            return NormalForm.odd_gen(ctx, i, base[1])
+        if i == 1:
+            return NormalForm.scalar(ctx, -ctx.scalar_degree)
+        v = tuple(1 if k == i - 2 else 0 for k in range(ctx.r - 1))
+        return NormalForm(ctx.r, ctx.genus, {((0,) * ctx.r, v, ()): 1})
+    head, tail = cup[:1], cup[1:]
+    if base[0] == "pt":
+        return reference_reduce(head, base, ctx) * reference_reduce(tail, base, ctx)
+    out = reference_reduce(head, base, ctx) * reference_reduce(tail, ("pt",), ctx)
+    out = out + reference_reduce(head, ("pt",), ctx) * reference_reduce(tail, base, ctx)
+    if base[0] == "gamma":
+        return out
+    corr = NormalForm.zero(ctx)
+    for h in range(1, ctx.genus + 1):
+        odd1, odd2 = ("gamma", 2 * h - 1), ("gamma", 2 * h)
+        corr = corr + reference_reduce(head, odd1, ctx) * reference_reduce(tail, odd2, ctx)
+        corr = corr - reference_reduce(head, odd2, ctx) * reference_reduce(tail, odd1, ctx)
+    return out - corr
+
+
+def test_reduce_slant_matches_the_recursion():
+    # every base and scalar degree, cups of 1-5 atoms with known and unknown k0 names
+    rng = random.Random(2024)
+    cases = 0
+    for _ in range(1500):
+        r, genus = rng.randint(1, 3), rng.randint(0, 4)
+        ctx = AlgebraContext(r, genus, rng.randint(-3, 3), {"h": rng.randint(-3, 3), "k": 2})
+        names = ["h", "k", "q"]
+        cup = tuple(
+            ("k0", rng.choice(names)) if rng.random() < 0.2 else ("c", rng.randint(1, r))
+            for _ in range(rng.randint(1, 5))
+        )
+        bases = [("pt",), ("sigma",)] + [("gamma", j) for j in range(1, 2 * genus + 1)]
+        base = rng.choice(bases)
+        try:
+            want = reference_reduce(cup, base, ctx)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                _reduce_slant(cup, base, ctx)
+            assert str(got.value) == str(err)
+            continue
+        assert _reduce_slant(cup, base, ctx) == want, (cup, base, ctx)
+        cases += not want.is_zero()
+    # most cases compare nonzero forms, not zero with zero
+    assert cases > 800
 
 
 # -- structural fuzz ---------------------------------------------------------
