@@ -2,12 +2,17 @@
 
 Two independent routes to every number: the closed formula against the
 Segre-series oracle on one grid, and the Seiberg-Witten route against
-the quotient-count dictionary on the other.  Cases run in a fixed
-nested order and reports carry the first counterexample, so output is
-deterministic for a given grid size.
+the quotient-count dictionary on the other.  Each grid is a generator
+that yields one outcome per case, in a fixed nested order: None when the
+case passes, the counterexample dict when it fails.  One runner counts
+cases and failures and keeps the first counterexample, so output is
+deterministic for a given grid size.  A grid calls its route through
+this module's globals, once per case, so a caller that rebinds
+`ggw_via_segre` or `sw_equals_ggw_check` here sees every case.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .exterior import Multivector, SurfaceTopology
 from .indices import RuledSurfaceGeometry, abelian_v, spinc_det, intersect
@@ -22,6 +27,9 @@ __all__ = [
     "run_all",
 ]
 
+# cases run_all accepts: the default grids have 200,508, --max-genus 5 has 802,620
+MAX_CHECK_CASES = 1_000_000
+
 
 @dataclass
 class CheckReport:
@@ -34,81 +42,93 @@ class CheckReport:
 def basis_monomials(topo: SurfaceTopology):
     """All 2^(2g) basis blades of the exterior algebra, grade order."""
     rank = topo.rank
-    blades = [
-        tuple(i for i in range(rank) if mask & (1 << i)) for mask in range(1 << rank)
+    return [
+        Multivector({b: 1}) for k in range(rank + 1) for b in combinations(range(rank), k)
     ]
-    blades.sort(key=lambda b: (len(b), b))
-    return [Multivector({b: 1}) for b in blades]
+
+
+def _run_grid(name, outcomes) -> CheckReport:
+    """Count one grid's outcomes: None passes, a counterexample dict fails."""
+    cases = failures = 0
+    first = None
+    for cases, outcome in enumerate(outcomes, 1):
+        if outcome is not None:
+            failures += 1
+            if first is None:
+                first = outcome
+    return CheckReport(name, cases, failures, first)
+
+
+def _oracle_outcomes(max_genus, max_r0, max_deg):
+    degrees = range(-max_deg, max_deg + 1)
+    for genus in range(max_genus + 1):
+        monomials = basis_monomials(SurfaceTopology(genus))
+        for r0, d, d0 in product(range(1, max_r0 + 1), degrees, degrees):
+            v = abelian_v(r0, d, d0, genus)
+            base_twist = min_valid_aux_twist(genus, r0, d, d0)
+            for l in monomials:
+                want = ggw_abelian(genus, r0, v, l)
+                for twist in (base_twist, base_twist + 1):
+                    got = ggw_via_segre(genus, r0, d, d0, twist, l)
+                    yield None if got == want else {
+                        "genus": genus,
+                        "r0": r0,
+                        "d": d,
+                        "d0": d0,
+                        "aux_twist": twist,
+                        "l": repr(l),
+                        "closed_form": want,
+                        "oracle": got,
+                    }
+
+
+def _dictionary_outcomes(max_genus, max_n, max_deg):
+    degrees = range(-max_deg, max_deg + 1)
+    for genus in range(max_genus + 1):
+        monomials = basis_monomials(SurfaceTopology(genus))
+        for d0 in degrees:
+            geom = RuledSurfaceGeometry(genus, d0)
+            for d, n in product(degrees, range(max_n + 1)):
+                fits = intersect(spinc_det(d, n, geom), FIBRE, geom) == 2 * n + 2
+                for l in monomials:
+                    if fits and sw_equals_ggw_check(d, n, geom, l):
+                        yield None
+                        continue
+                    res = sw_ruled(d, n, geom, l)
+                    yield {
+                        "genus": genus,
+                        "d": d,
+                        "n": n,
+                        "d0": d0,
+                        "l": repr(l),
+                        "sw": res.value_signed_chamber,
+                        "pair_with_fibre": res.pair_with_fibre,
+                    }
 
 
 def run_oracle_grid(max_genus: int = 4, max_r0: int = 4, max_deg: int = 3) -> CheckReport:
     """Closed formula vs Segre oracle, two valid twists per grid point."""
-    cases = failures = 0
-    first = None
-    for genus in range(max_genus + 1):
-        topo = SurfaceTopology(genus)
-        monomials = basis_monomials(topo)
-        for r0 in range(1, max_r0 + 1):
-            for d in range(-max_deg, max_deg + 1):
-                for d0 in range(-max_deg, max_deg + 1):
-                    v = abelian_v(r0, d, d0, genus)
-                    base_twist = min_valid_aux_twist(genus, r0, d, d0)
-                    for l in monomials:
-                        want = ggw_abelian(genus, r0, v, l)
-                        for twist in (base_twist, base_twist + 1):
-                            cases += 1
-                            got = ggw_via_segre(genus, r0, d, d0, twist, l)
-                            if got != want:
-                                failures += 1
-                                if first is None:
-                                    first = {
-                                        "genus": genus,
-                                        "r0": r0,
-                                        "d": d,
-                                        "d0": d0,
-                                        "aux_twist": twist,
-                                        "l": repr(l),
-                                        "closed_form": want,
-                                        "oracle": got,
-                                    }
-    return CheckReport("oracle_equivalence", cases, failures, first)
+    return _run_grid("oracle_equivalence", _oracle_outcomes(max_genus, max_r0, max_deg))
 
 
 def run_dictionary_grid(max_genus: int = 4, max_n: int = 3, max_deg: int = 3) -> CheckReport:
     """Seiberg-Witten values vs the quotient-count dictionary."""
-    cases = failures = 0
-    first = None
-    for genus in range(max_genus + 1):
-        topo = SurfaceTopology(genus)
-        monomials = basis_monomials(topo)
-        for d0 in range(-max_deg, max_deg + 1):
-            geom = RuledSurfaceGeometry(genus, d0)
-            for d in range(-max_deg, max_deg + 1):
-                for n in range(max_n + 1):
-                    pair = intersect(spinc_det(d, n, geom), FIBRE, geom)
-                    for l in monomials:
-                        cases += 1
-                        ok = pair == 2 * n + 2 and sw_equals_ggw_check(d, n, geom, l)
-                        if not ok:
-                            failures += 1
-                            if first is None:
-                                res = sw_ruled(d, n, geom, l)
-                                first = {
-                                    "genus": genus,
-                                    "d": d,
-                                    "n": n,
-                                    "d0": d0,
-                                    "l": repr(l),
-                                    "sw": res.value_signed_chamber,
-                                    "pair_with_fibre": res.pair_with_fibre,
-                                }
-    return CheckReport("sw_dictionary", cases, failures, first)
+    return _run_grid("sw_dictionary", _dictionary_outcomes(max_genus, max_n, max_deg))
 
 
 def run_all(max_genus: int = 4, max_r0: int = 4, max_deg: int = 3) -> list[CheckReport]:
-    """Both grids; bounds that leave a grid empty are refused before any case runs."""
+    """Both grids; bounds that leave a grid empty, or make it larger than
+    MAX_CHECK_CASES, are refused before any case runs."""
     if max_genus < 0 or max_r0 < 1 or max_deg < 0:
         raise ValueError("empty check grid: needs max_genus >= 0, max_r0 >= 1, max_deg >= 0")
+    # (2 oracle twists + 1 dictionary case) per point and blade, over
+    # sum_g 4^g = (4^(G+1) - 1) / 3 blades; 4^11 alone passes the cap, so a
+    # larger genus is counted as 10 and its power is never built
+    genus = min(max_genus, 10)
+    cases = max_r0 * (2 * max_deg + 1) ** 2 * (4 ** (genus + 1) - 1)
+    if cases > MAX_CHECK_CASES:
+        least = "at least " if genus < max_genus else ""
+        raise ValueError(f"check grid of {least}{cases} cases is over the limit of {MAX_CHECK_CASES}")
     return [
         run_oracle_grid(max_genus, max_r0, max_deg),
         run_dictionary_grid(max_genus, max_r0 - 1, max_deg),

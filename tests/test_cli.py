@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,11 @@ def test_evaluate(capsys):
         ["check", "--max-genus", "-1"],
         ["check", "--max-r0", "0"],
         ["check", "--max-deg", "-1"],
+        # grids past checks.MAX_CHECK_CASES are refused before any case runs,
+        # a huge genus without building 4^genus
+        ["check", "--max-genus", "6"],
+        ["check", "--max-genus", "0", "--max-deg", "0", "--max-r0", "1000000"],
+        ["check", "--max-genus", "1000000000"],
     ],
 )
 def test_domain_and_parse_errors_exit_2(capsys, argv):
@@ -235,6 +241,32 @@ def test_flag_errors_exit_2(capsys, argv):
     assert exc.value.code == 2
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
+
+
+def test_cli_corpus_replays_byte_identical(capsys, monkeypatch):
+    # the committed byte contract, written by tests/golden/make_cli_corpus.py
+    # under the settings pinned here: argparse wraps its usage lines at the
+    # terminal width, and digit-limit messages name the limit
+    monkeypatch.setenv("COLUMNS", "80")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    changed = []
+    try:
+        for line in GOLDEN.read_text().splitlines():
+            want = json.loads(line)
+            try:
+                code = main(want["argv"])
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            if (code, out.out, out.err) != (want["exit"], want["stdout"], want["stderr"]):
+                changed.append(exterior.clip(" ".join(want["argv"])))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert changed == []
+
+
 def test_check_small_grid_passes(capsys):
     code, out, _ = run(
         capsys, ["check", "--max-genus", "1", "--max-r0", "2", "--max-deg", "1"]
@@ -245,6 +277,14 @@ def test_check_small_grid_passes(capsys):
     assert result["total_failures"] == 0
     assert result["total_cases"] == sum(g["cases"] for g in result["grids"])
     assert {g["name"] for g in result["grids"]} == {"oracle_equivalence", "sw_dictionary"}
+
+
+@pytest.mark.parametrize("flags", [(0, 1, 0), (1, 2, 1), (2, 1, 2), (2, 3, 0)])
+def test_case_cap_counts_the_cases_both_grids_run(monkeypatch, flags):
+    total = sum(r.cases for r in checks.run_all(*flags))
+    monkeypatch.setattr(checks, "MAX_CHECK_CASES", total - 1)
+    with pytest.raises(ValueError, match=f"check grid of {total} cases is over"):
+        checks.run_all(*flags)
 
 
 def test_check_failure_exits_1(capsys, monkeypatch):
@@ -266,21 +306,27 @@ def test_grid_failures_are_counted_and_reported(capsys, monkeypatch):
     # each grid's failure branch, reached by wrapping the real routes so
     # that exactly one grid case goes wrong: genus 1, a1^b1, and in the
     # oracle grid r0 = 2, d = -1, d0 = 0 (both twists), in the dictionary
-    # grid d = 1, n = 1, d0 = 0
+    # grid d = 1, n = 1, d0 = 0.  Each grid must also call its route through
+    # the checks namespace exactly once per case, as the benchmark stamps
+    # each case from that call
     handle = {(0, 1): 1}
     segre, sw_check = checks.ggw_via_segre, checks.sw_equals_ggw_check
+    calls = Counter()
 
     def off_by_one(genus, r0, d, d0, twist, l):
+        calls["oracle"] += 1
         got = segre(genus, r0, d, d0, twist, l)
         return got + 1 if (genus, r0, d, d0, l.terms) == (1, 2, -1, 0, handle) else got
 
     def refuted(d, n, geom, l):
+        calls["dictionary"] += 1
         ok = sw_check(d, n, geom, l)
         return ok and (d, n, geom.genus, geom.v0_degree, l.terms) != (1, 1, 1, 0, handle)
 
     monkeypatch.setattr(checks, "ggw_via_segre", off_by_one)
     monkeypatch.setattr(checks, "sw_equals_ggw_check", refuted)
     oracle = checks.run_oracle_grid(max_genus=1, max_r0=2, max_deg=1)
+    assert calls == {"oracle": oracle.cases}
     assert oracle.failures == 2
     assert oracle.first_counterexample == {
         "genus": 1,
@@ -293,6 +339,7 @@ def test_grid_failures_are_counted_and_reported(capsys, monkeypatch):
         "oracle": 2,
     }
     dictionary = checks.run_dictionary_grid(max_genus=1, max_n=1, max_deg=1)
+    assert calls == {"oracle": oracle.cases, "dictionary": dictionary.cases}
     assert dictionary.failures == 1
     assert dictionary.first_counterexample == {
         "genus": 1,
