@@ -4,11 +4,12 @@ Responses are JSON on stdout with sorted keys and no floats; integers
 past the 53-bit safe range are rendered as decimal strings so nothing
 downstream rounds them.  Identical requests produce byte-identical
 output.  Exit codes: 0 success, 1 a check command found failures, 2 bad
-flags or unparseable input.
+flags, unparseable input or a stdout closed before the response.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -82,7 +83,7 @@ def _respond(args) -> int:
     if "form" in inputs:
         inputs["form"] = format_multivector(args.form, topo)
     payload = {"command": args.cmd, "inputs": inputs, "result": result}
-    print(json.dumps(_safe(payload), sort_keys=True))
+    print(json.dumps(_safe(payload), sort_keys=True), flush=True)
     return 1 if result.get("passed") is False else 0
 
 
@@ -224,7 +225,11 @@ def main(argv=None) -> int:
         return _respond(args)
     except (ValueError, NotImplementedError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # the reader left early; as Python's signal docs advise, keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the response was written", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

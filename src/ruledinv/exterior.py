@@ -370,16 +370,19 @@ def pair_theta_powers(l: Multivector, topo: SurfaceTopology, scale: int, powers)
     of l, made of whole a_k^b_k pairs, reach the top grade.  A handle
     blade B pairs to +1 with Theta^i/i! for i = g - |B|/2 alone, since
     disjoint degree-2 blocks commute; a term c*B adds c*scale^i when
-    that i is in powers.  powers is a range or tuple of ints.  An empty
-    powers pairs nothing, so l is not range-checked then.
+    that i is in powers, a range or tuple of ints.  An empty powers gives 0
+    unchecked, else a blade past the genus raises with l's largest index.
+    Increasing entries fill |B|/2 handles exactly when B is a handle blade.
     """
-    if powers:
-        _check_range(l, topo, "pair_theta_powers")
+    if not powers:
+        return 0
+    genus, rank = topo.genus, topo.rank
     total = 0
     for blade, coeff in l.terms.items():
-        i = topo.genus - len(blade) // 2
-        pairs = zip(blade[::2], blade[1::2])
-        if len(blade) % 2 == 0 and i in powers and all(x % 2 == 0 and y == x + 1 for x, y in pairs):
+        if blade and blade[-1] >= rank:
+            _check_range(l, topo, "pair_theta_powers")
+        i, odd = divmod(2 * genus - len(blade), 2)
+        if not odd and i in powers and len({x >> 1 for x in blade}) == genus - i:
             total += coeff * scale**i
     return total
 

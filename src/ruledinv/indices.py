@@ -72,7 +72,7 @@ def canonical_class(geom: RuledSurfaceGeometry) -> H2Class:
 
 def spinc_det(d: int, n: int, geom: RuledSurfaceGeometry) -> H2Class:
     """Determinant 2(d*f + n*s) - K of the structure twisted by d*f + n*s."""
-    return 2 * H2Class(n, d) - canonical_class(geom)
+    return H2Class(2 * n + 2, 2 * d - (2 * geom.genus - 2 + geom.v0_degree))
 
 
 def index_wc(c: H2Class, geom: RuledSurfaceGeometry) -> int:

@@ -7,8 +7,8 @@ series, and pair the right Segre coefficient against the orientation
 blade under the standard identification of the Picard cohomology with
 the exterior algebra (theta goes to Theta).
 
-Coefficients are exact rationals throughout; integrality is asserted
-only at the final pairing.
+Series coefficients are exact rationals; the count sums their pairings
+exactly and returns the total as an int, or raises if it is not integral.
 """
 
 from dataclasses import dataclass
@@ -298,14 +298,16 @@ def ggw_via_segre(
     if genus + big_n - k != v:
         raise ArithmeticError((genus, big_n, k, v))
 
-    topo = SurfaceTopology(genus)
+    topo = None
     series = _pushforward_segre(genus, r0, dprime)
-    total = Fraction(0)
-    for blade, coeff in l.items():
-        # of the Segre indices max(0, g-v)..g, only g - |B|/2 tops off against blade B
+    lowest = max(0, genus - v)
+    total = 0  # Fraction terms keep it exact once one is added
+    for blade, coeff in l.terms.items():
+        # of the Segre indices lowest..g, only g - |B|/2 tops off against blade B
         idx, odd = divmod(2 * genus - len(blade), 2)
-        if odd or idx < max(0, genus - v):
+        if odd or idx < lowest:
             continue
+        topo = topo or SurfaceTopology(genus)
         lam = Multivector({blade: 1})
         pairing = top_pairing(wedge(theta_divided_power(topo, idx), lam, topo), topo)
         if pairing:

@@ -413,6 +413,32 @@ def test_optimized_interpreter_gives_same_bytes(argv):
     assert cli("-O") == plain
 
 
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_2_in_one_line(buffered):
+    # the read end is closed before the child starts, so its write always
+    # fails; a buffered stdout would otherwise fail only in the exit flush
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ruledinv", "check", "--max-genus", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv,key,want",
     [

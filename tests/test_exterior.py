@@ -18,6 +18,7 @@ from ruledinv.exterior import (
     top_pairing,
     wedge,
 )
+from ruledinv.picard import ggw_via_segre, min_valid_aux_twist
 from ruledinv.slant import AlgebraContext, parse_expr
 
 
@@ -386,3 +387,31 @@ def test_pair_theta_powers_binomial_identity(pair, r0, t):
         l = l + t**k * theta_divided_power(topo, k)
     want = sum(r0**i * t ** (genus - i) * math.comb(genus, i) for i in powers if i <= genus)
     assert pair_theta_powers(l, topo, r0, powers) == want
+
+
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+def test_pair_theta_powers_range_check_in_the_pass(where):
+    # the blade with l's largest index, 7, may come anywhere in l's dict
+    # order, before or after another blade past genus 2; the message names 7
+    # either way, and l is not checked when powers is empty
+    topo = SurfaceTopology(2)
+    terms = [((0, 1), 2), ((4,), -1)]
+    terms.insert(where, ((3, 6, 7), 3))
+    l = Multivector(dict(terms))
+    assert list(l.terms)[where] == (3, 6, 7)
+    message = "pair_theta_powers: generator index 7 out of range for genus 2"
+    with pytest.raises(ValueError) as err:
+        pair_theta_powers(l, topo, 3, range(3))
+    assert str(err.value) == message
+    assert pair_theta_powers(l, topo, 3, range(0)) == 0
+    assert pair_theta_powers(l, topo, 3, ()) == 0
+
+
+def test_oracle_returns_a_plain_int():
+    # odd blades all skip the pairing; the handle blade and 1 pair to nonzero
+    genus, r0, d, d0 = 2, 2, -1, 1
+    twist = min_valid_aux_twist(genus, r0, d, d0)
+    skipped = ggw_via_segre(genus, r0, d, d0, twist, Multivector({(0,): 4, (0, 1, 2): 5}))
+    paired = ggw_via_segre(genus, r0, d, d0, twist, Multivector({(): 1, (0, 1): 3}))
+    assert type(skipped) is int and skipped == 0
+    assert type(paired) is int and paired != 0

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +74,13 @@ def test_canonical_square_is_eight_minus_eight_g(genus, d0):
 def test_spinc_det_examples():
     assert spinc_det(1, 1, RuledSurfaceGeometry(1, 0)) == H2Class(4, 2)
     assert spinc_det(0, 0, RuledSurfaceGeometry(1, 0)) == H2Class(2, 0)
+
+
+def test_spinc_det_is_twice_the_twist_minus_canonical():
+    # reference: 2(d*f + n*s) - K through the class arithmetic
+    for genus, d0, d, n in product(range(5), range(-3, 4), range(-3, 4), range(-3, 4)):
+        geom = RuledSurfaceGeometry(genus, d0)
+        assert spinc_det(d, n, geom) == 2 * H2Class(n, d) - canonical_class(geom)
 
 
 @given(st.integers(-4, 4), st.integers(-2, 4), st.integers(0, 4), st.integers(-4, 4))
