@@ -6,7 +6,9 @@ by pairing a truncated exponential of theta against a form l on the
 Jacobian, and the value stabilizes once v reaches the genus.
 """
 
-from ruledinv import Multivector, SurfaceTopology, abelian_v, ggw_abelian, quot_count
+from ruledinv.exterior import Multivector, SurfaceTopology
+from ruledinv.indices import abelian_v
+from ruledinv.invariants import ggw_abelian, quot_count
 
 ONE = Multivector.scalar(1)
 

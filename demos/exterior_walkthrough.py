@@ -5,7 +5,7 @@ handle blades a_k^b_k, and the top pairing reads off the coefficient of
 the full orientation blade.  Everything is exact integer arithmetic.
 """
 
-from ruledinv import (
+from ruledinv.exterior import (
     SurfaceTopology,
     Multivector,
     exp_even,

@@ -8,16 +8,16 @@ pairs the matching coefficient.  The check command sweeps both over a
 grid; here the pipeline is unrolled on one instance.
 """
 
-from ruledinv import (
-    Multivector,
-    abelian_v,
+from ruledinv.checks import run_oracle_grid
+from ruledinv.exterior import Multivector
+from ruledinv.indices import abelian_v
+from ruledinv.invariants import ggw_abelian
+from ruledinv.picard import (
     chern_series,
-    ggw_abelian,
     ggw_via_segre,
     grr_pushforward,
     min_valid_aux_twist,
     poincare_chern,
-    run_oracle_grid,
     segre_series,
 )
 

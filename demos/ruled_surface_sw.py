@@ -7,18 +7,17 @@ invariant in the chamber signed by that pairing is an explicit count,
 and the opposite chamber always gives zero.
 """
 
-from ruledinv import (
+from ruledinv.exterior import Multivector
+from ruledinv.indices import (
     H2Class,
-    Multivector,
     RuledSurfaceGeometry,
     canonical_class,
     douady_index,
     index_wc,
     intersect,
     spinc_det,
-    sw_for_class,
-    sw_ruled,
 )
+from ruledinv.invariants import sw_for_class, sw_ruled
 
 ONE = Multivector.scalar(1)
 

@@ -7,15 +7,9 @@ u_i, v_i, G[i,j] monomials; in the rank-1 algebra normal forms can then
 be paired against the abelian moduli space.
 """
 
-from ruledinv import (
-    AlgebraContext,
-    evaluate_abelian,
-    ggw_abelian,
-    Multivector,
-    normalize,
-    parse_expr,
-    print_normal,
-)
+from ruledinv.exterior import Multivector
+from ruledinv.invariants import ggw_abelian
+from ruledinv.slant import AlgebraContext, evaluate_abelian, normalize, parse_expr, print_normal
 
 
 def show(text, ctx):

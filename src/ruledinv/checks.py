@@ -11,10 +11,9 @@ this module's globals, once per case, so a caller that rebinds
 `ggw_via_segre` or `sw_equals_ggw_check` here sees every case.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exterior import Multivector, SurfaceTopology
+from .exterior import Multivector, Record, SurfaceTopology
 from .indices import RuledSurfaceGeometry, abelian_v, spinc_det, intersect
 from .invariants import FIBRE, ggw_abelian, sw_equals_ggw_check, sw_ruled
 from .picard import ggw_via_segre, min_valid_aux_twist
@@ -31,12 +30,13 @@ __all__ = [
 MAX_CHECK_CASES = 1_000_000
 
 
-@dataclass
-class CheckReport:
-    name: str
-    cases: int
-    failures: int
-    first_counterexample: dict | None
+class CheckReport(Record):
+    __slots__ = ("name", "cases", "failures", "first_counterexample")
+    __hash__ = None
+
+    def __init__(self, name: str, cases: int, failures: int, first_counterexample: dict | None):
+        self.name, self.cases, self.failures = name, cases, failures
+        self.first_counterexample = first_counterexample
 
 
 def basis_monomials(topo: SurfaceTopology):

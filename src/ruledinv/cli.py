@@ -5,6 +5,9 @@ past the 53-bit safe range are rendered as decimal strings so nothing
 downstream rounds them.  Identical requests produce byte-identical
 output.  Exit codes: 0 success, 1 a check command found failures, 2 bad
 flags, unparseable input or a stdout closed before the response.
+
+Every request needs exterior; each handler imports the other layers it
+uses where it runs, so a request loads only those.
 """
 
 import argparse
@@ -12,13 +15,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 
-from .checks import run_all
 from .exterior import SurfaceTopology, clip, format_int, format_multivector, parse_multivector
-from .indices import RuledSurfaceGeometry, abelian_v
-from .invariants import ggw_abelian, quot_count, sw_ruled
-from .slant import AlgebraContext, evaluate_abelian, normalize, parse_expr, print_normal
 
 _SAFE_MAX = 2**53 - 1
 _INT_TEXT = re.compile(r"\s*[+-]?\d+\s*")
@@ -75,6 +73,8 @@ def _respond(args) -> int:
         topo = SurfaceTopology(args.genus)
         args.form = parse_multivector(args.form, topo)
     if "expr" in inputs:
+        from .slant import AlgebraContext
+
         if args.cmd == "evaluate" and args.r != 1:
             raise ValueError("evaluate only supports the rank-1 algebra (--r 1)")
         inputs["k0"] = dict(sorted(_parse_k0(args.k0).items()))
@@ -88,17 +88,25 @@ def _respond(args) -> int:
 
 
 def _cmd_ggw(args):
+    from .invariants import ggw_abelian
+
     value = 0 if args.chamber == "empty" else ggw_abelian(args.genus, args.r0, args.v, args.form)
     return {"value": value}
 
 
 def _cmd_ggw_bundle(args):
+    from .indices import abelian_v
+    from .invariants import ggw_abelian
+
     v = abelian_v(args.r0, args.deg_e, args.deg_e0, args.genus)
     value = 0 if args.chamber == "empty" else ggw_abelian(args.genus, args.r0, v, args.form)
     return {"v": v, "value": value}
 
 
 def _cmd_sw(args):
+    from .indices import RuledSurfaceGeometry
+    from .invariants import sw_ruled
+
     res = sw_ruled(args.d, args.n, RuledSurfaceGeometry(args.genus, args.deg_v0), args.form)
     return {
         "sign": res.sign,
@@ -111,25 +119,38 @@ def _cmd_sw(args):
 
 
 def _cmd_quot_count(args):
+    from .invariants import quot_count
+
     return {"value": quot_count(args.genus, args.r0)}
 
 
 def _cmd_normalize(args):
+    from .slant import normalize, parse_expr, print_normal
+
     nf = normalize(parse_expr(args.expr, args.ctx), args.ctx)
     return {"normal_form": print_normal(nf)}
 
 
 def _cmd_evaluate(args):
+    from .slant import evaluate_abelian, normalize, parse_expr, print_normal
+
     nf = normalize(parse_expr(args.expr, args.ctx), args.ctx)
     value = evaluate_abelian(nf, args.genus, args.r0, args.v)
     return {"normal_form": print_normal(nf), "value": value}
 
 
 def _cmd_check(args):
+    from .checks import run_all
+
     reports = run_all(args.max_genus, args.max_r0, args.max_deg)
     failures = sum(r.failures for r in reports)
+    grids = [
+        {"name": r.name, "cases": r.cases, "failures": r.failures,
+         "first_counterexample": r.first_counterexample}
+        for r in reports
+    ]
     return {
-        "grids": [asdict(r) for r in reports],
+        "grids": grids,
         "total_cases": sum(r.cases for r in reports),
         "total_failures": failures,
         "passed": failures == 0,
@@ -220,8 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        finally:
+            # argparse prints --help before it exits; flushing here lets a
+            # closed stdout take the branch below, not fail in the exit flush
+            sys.stdout.flush()
         return _respond(args)
     except (ValueError, NotImplementedError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -13,14 +13,15 @@ Multivector and the slant algebra's NormalForm share one sparse integer
 core, Combination.  Validation happens where terms enter: the public
 constructors and the parsers.  Results built from terms that are
 already valid (wedge, sums, scalings, theta and its powers, exp_even)
-come through the trusted Combination._like.
+come through the trusted Combination._like.  The small value classes of
+every layer (SurfaceTopology here) are plain __slots__ classes on Record.
 """
 
 import re
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
+from operator import attrgetter
 from string import ascii_letters
 
 __all__ = [
@@ -42,15 +43,41 @@ __all__ = [
 Blade = tuple
 
 
-@dataclass(frozen=True)
-class SurfaceTopology:
+class Record:
+    """Base of the small value classes: __slots__ names the fields, in order.
+
+    Instances compare, hash and print by their fields, as a frozen
+    dataclass would, and are immutable by convention.  A subclass whose
+    fields are not all hashable sets __hash__ = None.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SurfaceTopology(Record):
     """Genus bookkeeping for the surface whose H_1 we work over."""
 
-    genus: int
+    __slots__ = ("genus",)
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int):
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
+        self.genus = genus
 
     @property
     def rank(self) -> int:

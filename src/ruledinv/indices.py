@@ -5,7 +5,7 @@ genus-g curve, and the intersection ring of the projectivization of a
 rank-2 bundle over the curve.  Everything is exact integer arithmetic.
 """
 
-from dataclasses import dataclass
+from .exterior import Record
 
 __all__ = [
     "RuledSurfaceGeometry",
@@ -28,28 +28,28 @@ def abelian_v(r0: int, d: int, d0: int, genus: int) -> int:
     return d0 - r0 * d + (r0 - 1) * (1 - genus)
 
 
-@dataclass(frozen=True)
-class RuledSurfaceGeometry:
+class RuledSurfaceGeometry(Record):
     """Projectivized rank-2 bundle over a genus-g curve.
 
     Classes in H^2 are written x*s + y*f with s the tautological section
     class and f the fibre; s.s = v0_degree, s.f = 1, f.f = 0.
     """
 
-    genus: int
-    v0_degree: int
+    __slots__ = ("genus", "v0_degree")
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int, v0_degree: int):
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
+        self.genus, self.v0_degree = genus, v0_degree
 
 
-@dataclass(frozen=True)
-class H2Class:
+class H2Class(Record):
     """Integer class x*s + y*f on the ruled surface."""
 
-    s: int
-    f: int
+    __slots__ = ("s", "f")
+
+    def __init__(self, s: int, f: int):
+        self.s, self.f = s, f
 
     def __add__(self, other):
         return H2Class(self.s + other.s, self.f + other.f)

@@ -8,9 +8,7 @@ ruled surface are the same expression run through the index dictionary,
 with the scale read off the fibre pairing of the determinant class.
 """
 
-from dataclasses import dataclass
-
-from .exterior import Multivector, SurfaceTopology, pair_theta_powers
+from .exterior import Multivector, Record, SurfaceTopology, pair_theta_powers
 from .indices import (
     H2Class,
     RuledSurfaceGeometry,
@@ -55,8 +53,7 @@ def quot_count(genus: int, r0: int) -> int:
     return r0**genus
 
 
-@dataclass(frozen=True)
-class SWResult:
+class SWResult(Record):
     """Both chamber values of the Seiberg-Witten invariant for one class.
 
     sign is the sign of the fibre pairing (0 when the pairing vanishes).
@@ -64,12 +61,22 @@ class SWResult:
     sign; the opposite chamber always vanishes.
     """
 
-    sign: int
-    value_signed_chamber: int
-    value_opposite_chamber: int
-    w_c: int
-    c: H2Class
-    pair_with_fibre: int
+    __slots__ = (
+        "sign", "value_signed_chamber", "value_opposite_chamber", "w_c", "c", "pair_with_fibre"
+    )
+
+    def __init__(
+        self,
+        sign: int,
+        value_signed_chamber: int,
+        value_opposite_chamber: int,
+        w_c: int,
+        c: H2Class,
+        pair_with_fibre: int,
+    ):
+        self.sign, self.value_signed_chamber = sign, value_signed_chamber
+        self.value_opposite_chamber, self.w_c = value_opposite_chamber, w_c
+        self.c, self.pair_with_fibre = c, pair_with_fibre
 
 
 def sw_for_class(c: H2Class, geom: RuledSurfaceGeometry, l: Multivector) -> SWResult:

@@ -11,12 +11,12 @@ Series coefficients are exact rationals; the count sums their pairings
 exactly and returns the total as an int, or raises if it is not integral.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exterior import Multivector, SurfaceTopology, theta_divided_power, top_pairing, wedge
+from .exterior import Multivector, Record, SurfaceTopology
+from .exterior import theta_divided_power, top_pairing, wedge
 from .indices import abelian_v
 
 __all__ = [
@@ -135,21 +135,19 @@ class ThetaSeries:
         return f"ThetaSeries({[str(c) for c in self.coeffs]})"
 
 
-@dataclass(frozen=True)
-class KunnethClass:
+class KunnethClass(Record):
     """Element one + gamma_part*gamma + eta_part*eta of the product ring.
 
     Relations: eta^2 = 0, gamma*eta = 0, gamma^2 = -2*theta*eta, theta
     central.  gamma*eta = 0 closes the three-component representation.
     """
 
-    one: ThetaSeries
-    gamma_part: ThetaSeries
-    eta_part: ThetaSeries
+    __slots__ = ("one", "gamma_part", "eta_part")
 
-    def __post_init__(self):
-        if not self.one.genus == self.gamma_part.genus == self.eta_part.genus:
+    def __init__(self, one: ThetaSeries, gamma_part: ThetaSeries, eta_part: ThetaSeries):
+        if not one.genus == gamma_part.genus == eta_part.genus:
             raise ValueError("components disagree on genus")
+        self.one, self.gamma_part, self.eta_part = one, gamma_part, eta_part
 
     @classmethod
     def unit(cls, genus: int) -> "KunnethClass":

@@ -41,15 +41,15 @@ message ends in "at position N":
 The u/v/G forms and the optional leading sign are what print_normal
 emits, so printing parses back.  At most MAX_NESTING parentheses nest,
 '^' follow one primary and atoms share one cup; deeper text is a syntax
-error rather than a stack overflow in parsing or normalizing.
+error rather than a stack overflow in parsing or normalizing.  Powers
+past MAX_EXPONENT and ranks past MAX_RANK are refused before any work.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add
 
 from .exterior import Combination, Multivector, SurfaceTopology, merge_blades, pair_theta_powers
-from .exterior import TextSyntaxError, TokenCursor, clip, format_terms
+from .exterior import Record, TextSyntaxError, TokenCursor, clip, format_terms
 
 __all__ = [
     "AlgebraContext",
@@ -62,25 +62,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=True)
-class AlgebraContext:
+class AlgebraContext(Record):
     """Rank, genus, and reduction data for the algebra.
 
     scalar_degree feeds the <c1|S> reduction, whose value is fixed as
     -scalar_degree.  k0_eval sends names of degree-2 classes pulled back
-    from the curve to their integrals.
+    from the curve to their integrals.  Unhashable, as k0_eval is a dict.
     """
 
-    r: int
-    genus: int
-    scalar_degree: int = 0
-    k0_eval: dict = field(default_factory=dict)
+    __slots__ = ("r", "genus", "scalar_degree", "k0_eval")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int, genus: int, scalar_degree: int = 0, k0_eval: dict | None = None):
+        if r < 1:
             raise ValueError("rank must be >= 1")
-        if self.genus < 0:
+        if r > MAX_RANK:
+            raise ValueError(f"rank {clip(str(r))} is over the limit of {MAX_RANK}")
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
+        self.r, self.genus, self.scalar_degree = r, genus, scalar_degree
+        self.k0_eval = {} if k0_eval is None else k0_eval
 
 
 # AST nodes are tagged tuples:
@@ -93,6 +94,10 @@ class AlgebraContext:
 
 
 MAX_NESTING = 100
+# a power grows with its exponent (4^(10^20) fills memory); u1^MAX_EXPONENT still answers
+MAX_EXPONENT = 1_000_000
+# every normal-form key holds r-tuples, so the rank is in the cost of each term
+MAX_RANK = 1000
 
 
 class SlantSyntaxError(TextSyntaxError):
@@ -335,6 +340,8 @@ def normalize(expr, ctx: AlgebraContext) -> NormalForm:
     if tag == "pow":
         if expr[2] < 0:
             raise ValueError(f"negative power {expr[2]}")
+        if expr[2] > MAX_EXPONENT:
+            raise ValueError(f"power {clip(str(expr[2]))} is over the limit of {MAX_EXPONENT}")
         # square and multiply: products associate, so this is base^e exactly
         base, e = normalize(expr[1], ctx), expr[2]
         out = NormalForm.scalar(ctx, 1)

@@ -195,6 +195,12 @@ def test_evaluate(capsys):
         ["check", "--max-genus", "6"],
         ["check", "--max-genus", "0", "--max-deg", "0", "--max-r0", "1000000"],
         ["check", "--max-genus", "1000000000"],
+        # powers past slant.MAX_EXPONENT and ranks past slant.MAX_RANK are
+        # refused before the algebra runs
+        ["normalize", "--genus", "1", "4^99999999999999999999"],
+        ["normalize", "--genus", "1", "u1^1000001"],
+        ["normalize", "--r", "1001", "--genus", "1", "u1"],
+        ["normalize", "--r", "100000000", "--genus", "1", "u1"],
     ],
 )
 def test_domain_and_parse_errors_exit_2(capsys, argv):
@@ -294,7 +300,7 @@ def test_check_failure_exits_1(capsys, monkeypatch):
         failures=1,
         first_counterexample={"genus": 1},
     )
-    monkeypatch.setattr("ruledinv.cli.run_all", lambda *a: [broken])
+    monkeypatch.setattr("ruledinv.checks.run_all", lambda *a: [broken])
     code, out, _ = run(capsys, ["check"])
     assert code == 1
     result = json.loads(out)["result"]
@@ -413,8 +419,18 @@ def test_optimized_interpreter_gives_same_bytes(argv):
     assert cli("-O") == plain
 
 
-@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_2_in_one_line(buffered):
+@pytest.mark.parametrize(
+    "buffered,argv",
+    [
+        (False, ["check", "--max-genus", "1"]),
+        (True, ["check", "--max-genus", "1"]),
+        # argparse prints help inside parse_args; unbuffered, argparse itself
+        # swallows the failed write and exits 0
+        (True, ["check", "--help"]),
+    ],
+    ids=["unbuffered", "buffered", "buffered-help"],
+)
+def test_closed_stdout_exits_2_in_one_line(buffered, argv):
     # the read end is closed before the child starts, so its write always
     # fails; a buffered stdout would otherwise fail only in the exit flush
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -425,7 +441,7 @@ def test_closed_stdout_exits_2_in_one_line(buffered):
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "ruledinv", "check", "--max-genus", "1"],
+            [sys.executable, "-m", "ruledinv", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
@@ -487,6 +503,48 @@ def test_large_genus_through_the_cli(argv, key, want):
     assert result[key] == want
     if argv[0] == "sw":
         assert result["w_c"] == 202
+
+
+# -- start-up: a request loads only the layers it uses ---------------------
+
+
+def test_package_does_not_import_dataclasses():
+    # importing dataclasses and building classes with it cost every request's start-up
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                if "dataclasses" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "argv,loaded,unloaded",
+    [
+        (["quot-count", "--genus", "3", "--r0", "2"], {"invariants"}, {"slant", "picard", "checks"}),
+        (["normalize", "--genus", "1", "<c1.c1|S>"], {"slant"}, {"picard", "checks"}),
+        (["check", "--max-genus", "0", "--max-r0", "1"], {"picard", "checks"}, set()),
+    ],
+    ids=["quot-count", "normalize", "check"],
+)
+def test_request_loads_only_the_layers_it_uses(argv, loaded, unloaded):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = (
+        "import json, sys\n"
+        "from ruledinv.cli import main\n"
+        f"main({argv!r})\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    layers = {name.partition(".")[2] for name in modules if name.startswith("ruledinv.")}
+    assert loaded <= layers
+    assert not unloaded & layers
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))

@@ -18,7 +18,10 @@ from ruledinv.exterior import (
     top_pairing,
     wedge,
 )
-from ruledinv.picard import ggw_via_segre, min_valid_aux_twist
+from ruledinv.checks import CheckReport
+from ruledinv.indices import H2Class, RuledSurfaceGeometry
+from ruledinv.invariants import sw_ruled
+from ruledinv.picard import KunnethClass, ggw_via_segre, min_valid_aux_twist
 from ruledinv.slant import AlgebraContext, parse_expr
 
 
@@ -415,3 +418,42 @@ def test_oracle_returns_a_plain_int():
     paired = ggw_via_segre(genus, r0, d, d0, twist, Multivector({(): 1, (0, 1): 3}))
     assert type(skipped) is int and skipped == 0
     assert type(paired) is int and paired != 0
+
+
+# -- the value classes -------------------------------------------------------
+
+
+def test_value_classes_compare_hash_and_print_by_fields():
+    # each class on Record keeps what its frozen dataclass gave: the field
+    # repr, equality by fields within one class, and a hash where all
+    # fields are hashable
+    geom = RuledSurfaceGeometry(1, 0)
+    hashable = [
+        (SurfaceTopology(2), SurfaceTopology(genus=2), "SurfaceTopology(genus=2)"),
+        (geom, RuledSurfaceGeometry(genus=1, v0_degree=0),
+         "RuledSurfaceGeometry(genus=1, v0_degree=0)"),
+        (H2Class(4, -2), H2Class(s=4, f=-2), "H2Class(s=4, f=-2)"),
+        (sw_ruled(1, 1, geom, Multivector.scalar(1)), sw_ruled(1, 1, geom, Multivector.scalar(1)),
+         "SWResult(sign=1, value_signed_chamber=2, value_opposite_chamber=0, w_c=4,"
+         " c=H2Class(s=4, f=2), pair_with_fibre=4)"),
+        (KunnethClass.unit(1), KunnethClass.unit(1),
+         "KunnethClass(one=ThetaSeries(['1', '0']), gamma_part=ThetaSeries(['0', '0']),"
+         " eta_part=ThetaSeries(['0', '0']))"),
+    ]
+    for x, y, text in hashable:
+        assert x == y and hash(x) == hash(y) and repr(x) == text
+        assert x != 1 and x.__eq__(1) is NotImplemented
+    assert SurfaceTopology(2) != SurfaceTopology(3) and H2Class(1, 2) != H2Class(2, 1)
+    assert H2Class(0, 1) != RuledSurfaceGeometry(0, 1)
+    unhashable = [
+        (AlgebraContext(2, 1, k0_eval={"h": 3}), AlgebraContext(r=2, genus=1, k0_eval={"h": 3}),
+         "AlgebraContext(r=2, genus=1, scalar_degree=0, k0_eval={'h': 3})"),
+        (CheckReport("grid", 3, 1, None), CheckReport(name="grid", cases=3, failures=1,
+         first_counterexample=None),
+         "CheckReport(name='grid', cases=3, failures=1, first_counterexample=None)"),
+    ]
+    for x, y, text in unhashable:
+        assert x == y and repr(x) == text
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+    assert AlgebraContext(1, 1).k0_eval == {} and AlgebraContext(1, 1) != AlgebraContext(1, 2)

@@ -6,7 +6,9 @@ from fuzz_exprs import random_context, random_expr
 from ruledinv.invariants import ggw_abelian
 from ruledinv.exterior import Multivector
 from ruledinv.slant import (
+    MAX_EXPONENT,
     MAX_NESTING,
+    MAX_RANK,
     AlgebraContext,
     NormalForm,
     SlantSyntaxError,
@@ -196,6 +198,18 @@ def test_negative_power_rejected():
         normalize(("pow", ("int", 2), -1), CTX22)
     with pytest.raises(SlantSyntaxError):
         parse_expr("u1^-1", CTX22)
+
+
+def test_power_and_rank_caps():
+    # the largest power and rank still answer; one past either is refused
+    # before any squaring or any r-tuple is built
+    ctx = AlgebraContext(r=1, genus=1)
+    assert print_normal(norm(f"u1^{MAX_EXPONENT}", ctx)) == f"u1^{MAX_EXPONENT}"
+    with pytest.raises(ValueError, match=f"power {MAX_EXPONENT + 1} is over the limit"):
+        norm(f"4^{MAX_EXPONENT + 1}", ctx)
+    assert print_normal(norm("u1*v2", AlgebraContext(r=MAX_RANK, genus=0))) == "u1*v2"
+    with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} is over the limit"):
+        AlgebraContext(r=MAX_RANK + 1, genus=0)
 
 
 def test_context_shape_mismatch():
