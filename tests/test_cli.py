@@ -548,14 +548,16 @@ def test_request_loads_only_the_layers_it_uses(argv, loaded, unloaded):
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMO_GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
+    # each demo prints the bytes written by tests/golden/make_demo_goldens.py
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip()
     assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout == (DEMO_GOLDEN / f"{demo.stem}.txt").read_text()

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,41 @@ def test_series_ring_ops():
     assert a.shift().coeffs == (0, 1, 2)
     with pytest.raises(ValueError):
         a + series(1, genus=4)
+
+
+small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 6),
+    st.lists(small_fractions, min_size=1, max_size=8),
+    st.lists(small_fractions, min_size=1, max_size=8),
+    st.integers(-5, 5),
+    small_fractions,
+)
+def test_series_ring_matches_dense_reference(genus, xs, ys, n, q):
+    a, b = ThetaSeries(xs, genus), ThetaSeries(ys, genus)
+    x = (xs + [0] * genus)[: genus + 1]
+    y = (ys + [0] * genus)[: genus + 1]
+    # the Cauchy product, dropping every power past theta^genus
+    cauchy = [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(genus + 1)]
+    assert (a * b).coeffs == tuple(cauchy)
+    assert (a + b).coeffs == tuple(s + t for s, t in zip(x, y))
+    assert (a - b).coeffs == tuple(s - t for s, t in zip(x, y))
+    assert (-a).coeffs == tuple(-s for s in x)
+    assert (n * a).coeffs == (a * n).coeffs == tuple(n * s for s in x)
+    assert (a * q).coeffs == (q * a).coeffs == tuple(q * s for s in x)
+    assert a.shift().coeffs == tuple([0] + x[:genus])
+
+
+@pytest.mark.parametrize("op", [add, sub, mul])
+def test_series_of_mixed_genus_do_not_combine(op):
+    a, b = series(1, 2, genus=2), series(1, 2, genus=3)
+    with pytest.raises(ValueError):
+        op(a, b)
+    with pytest.raises(ValueError):
+        op(b, a)
 
 
 def test_series_inverse():
