@@ -9,8 +9,8 @@ normalized so that blade itself pairs to +1.
 Generators carry flat indices 0..2g-1 with a_k at 2(k-1) and b_k at
 2(k-1)+1; a blade is a strictly increasing tuple of such indices.
 
-Multivector and the slant algebra's NormalForm share one sparse integer
-core, Combination.  Validation happens where terms enter: the public
+Multivector, the slant algebra's NormalForm and the Segre oracle's
+ThetaSeries share one sparse core, Combination.  Validation happens where terms enter: the public
 constructors and the parsers.  Results built from terms that are
 already valid (wedge, sums, scalings, theta and its powers, exp_even)
 come through the trusted Combination._like.  The small value classes of
@@ -34,7 +34,6 @@ __all__ = [
     "exp_even",
     "top_pairing",
     "pair_theta_powers",
-    "grade_part",
     "TextSyntaxError",
     "parse_multivector",
     "format_multivector",
@@ -138,11 +137,12 @@ def merge_blades(x: tuple, y: tuple):
 
 
 class Combination:
-    """Sparse integer combination of monomials, with its arithmetic.
+    """Sparse exact combination of monomials, with its arithmetic.
 
-    terms maps monomials to nonzero ints.  Immutable by convention: no
-    method mutates, operators return fresh instances.  A subclass
-    supplies four hooks:
+    terms maps monomials to nonzero coefficients: ints, except the exact
+    Fractions of picard.ThetaSeries.  Immutable by convention: no method
+    mutates, operators return fresh instances.  A subclass supplies four
+    hooks:
 
     - monomial_degree(m), the degree of one monomial;
     - _shape(), what two operands must share (None here);
@@ -152,9 +152,10 @@ class Combination:
     - merge_monomials(m1, m2), the product of two monomials as
       (monomial, sign), or None when it vanishes.
 
-    x * n scales by an int n.  x * y, for y of x's type and shape, is the
-    bilinear product: each pair of terms multiplies through
-    merge_monomials.  Any other operand is a TypeError.
+    x * n scales by an int n (a ThetaSeries also by a Fraction).  x * y,
+    for y of x's type and shape, is the bilinear product: each pair of
+    terms multiplies through merge_monomials.  Any other operand is a
+    TypeError.
 
     Public constructors and parsers validate; everything computed from
     valid operands comes through _like.
@@ -167,7 +168,7 @@ class Combination:
 
     def _check_shape(self, other):
         if self._shape() != other._shape():
-            raise ValueError(f"{type(self).__name__}s built over different contexts")
+            raise ValueError(f"{type(self).__name__} operands built over different contexts")
 
     def signed_sum(self, parts):
         """self plus sign * part over (sign, part) pairs, summed in one dict."""
@@ -328,7 +329,7 @@ def theta_class(topo: SurfaceTopology) -> Multivector:
 def theta_divided_power(topo: SurfaceTopology, k: int) -> Multivector:
     """Theta^k/k!: the sum of all k-handle orientation blades.
 
-    Agrees with grade_part(exp_even(theta_class(topo)), 2k); distinct
+    Agrees with exp_even(theta_class(topo)).homogeneous_part(2k); distinct
     a_i^b_i blocks commute, so each k-subset of handles contributes one
     blade with coefficient +1.  Cached for the Segre oracle
     (picard.ggw_via_segre): results are immutable and its grid asks for
@@ -412,13 +413,6 @@ def pair_theta_powers(l: Multivector, topo: SurfaceTopology, scale: int, powers)
         if not odd and i in powers and len({x >> 1 for x in blade}) == genus - i:
             total += coeff * scale**i
     return total
-
-
-def grade_part(x: Multivector, k: int) -> Multivector:
-    """Grade-k component of x."""
-    if k < 0:
-        raise ValueError("grade_part: grade must be nonnegative")
-    return x.homogeneous_part(k)
 
 
 # -- text front end ----------------------------------------------------------

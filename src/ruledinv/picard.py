@@ -7,15 +7,17 @@ series, and pair the right Segre coefficient against the orientation
 blade under the standard identification of the Picard cohomology with
 the exterior algebra (theta goes to Theta).
 
-Series coefficients are exact rationals; the count sums their pairings
-exactly and returns the total as an int, or raises if it is not integral.
+The series in theta are combinations on exterior's shared core, with
+exact rational coefficients; the count sums their pairings exactly and
+returns the total as an int, or raises ArithmeticError if it is not
+integral.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exterior import Multivector, Record, SurfaceTopology
+from .exterior import Combination, Multivector, Record, SurfaceTopology
 from .exterior import theta_divided_power, top_pairing, wedge
 from .indices import abelian_v
 
@@ -32,104 +34,77 @@ __all__ = [
 ]
 
 
-class ThetaSeries:
+class ThetaSeries(Combination):
     """Polynomial in the degree-2 class theta, truncated past theta^genus.
 
-    Coefficients are Fractions indexed 0..genus.  Indexing past genus
-    reads 0, matching the ring truncation.
+    A combination on exterior's shared core whose monomials are the
+    powers 0..genus of theta, with exact Fraction coefficients.
+    merge_monomials adds powers and drops a product past theta^genus, as
+    a repeated generator vanishes in a blade; the genus is the shape two
+    operands must share.  Indexing past the genus reads 0.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("genus",)
 
     def __init__(self, coeffs, genus=None):
         coeffs = [Fraction(c) for c in coeffs]
-        if genus is not None:
-            if genus < 0:
-                raise ValueError("genus must be nonnegative")
-            coeffs = coeffs[: genus + 1]
-            coeffs += [Fraction(0)] * (genus + 1 - len(coeffs))
-        if not coeffs:
+        if genus is not None and genus < 0:
+            raise ValueError("genus must be nonnegative")
+        self.genus = len(coeffs) - 1 if genus is None else genus
+        if self.genus < 0:
             raise ValueError("need at least the constant coefficient")
-        self.coeffs = tuple(coeffs)
+        self.terms = {i: c for i, c in enumerate(coeffs[: self.genus + 1]) if c}
+
+    def _like(self, terms):
+        out = object.__new__(ThetaSeries)
+        out.genus = self.genus
+        out.terms = {i: c for i, c in terms.items() if c}
+        return out
+
+    def _shape(self):
+        return self.genus
+
+    def merge_monomials(self, i, j):
+        return (i + j, 1) if i + j <= self.genus else None
+
+    @staticmethod
+    def monomial_degree(i):
+        return 2 * i  # theta has degree 2
 
     @classmethod
     def constant(cls, value, genus: int) -> "ThetaSeries":
         return cls([value], genus)
 
     @property
-    def genus(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        return tuple(self.terms.get(i, 0) for i in range(self.genus + 1))
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int):
+        # an int 0 for a missing power: the oracle reads one per blade
         if i < 0:
             raise IndexError(i)
-        return self.coeffs[i] if i <= self.genus else Fraction(0)
-
-    def _match(self, other: "ThetaSeries"):
-        if self.genus != other.genus:
-            raise ValueError(f"mixed genus {self.genus} and {other.genus}")
-
-    def __add__(self, other):
-        if not isinstance(other, ThetaSeries):
-            return NotImplemented
-        self._match(other)
-        return ThetaSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, ThetaSeries):
-            return NotImplemented
-        self._match(other)
-        return ThetaSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return ThetaSeries([-a for a in self.coeffs])
+        return self.terms.get(i, 0)
 
     def __mul__(self, other):
-        if isinstance(other, ThetaSeries):
-            self._match(other)
-            g = self.genus
-            out = [Fraction(0)] * (g + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(g + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return ThetaSeries(out)
-        if isinstance(other, (int, Fraction)):
-            return ThetaSeries([a * other for a in self.coeffs])
-        return NotImplemented
+        if isinstance(other, Fraction):
+            return self._like({i: c * other for i, c in self.terms.items()})
+        return Combination.__mul__(self, other)
 
     __rmul__ = __mul__
 
     def shift(self) -> "ThetaSeries":
         """Multiply by theta."""
-        return ThetaSeries([Fraction(0), *self.coeffs], self.genus)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self._like({i + 1: c for i, c in self.terms.items() if i < self.genus})
 
     def inverse(self) -> "ThetaSeries":
         """Multiplicative inverse; the leading term must be nonzero."""
-        if not self.coeffs[0]:
+        if not self[0]:
             raise ValueError("leading term 0 is not invertible")
-        lead = Fraction(1) / self.coeffs[0]
-        out = [lead]
+        lead = 1 / self[0]
+        out = {0: lead}
         for k in range(1, self.genus + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out.append(-lead * acc)
-        return ThetaSeries(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, ThetaSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+            out[k] = -lead * sum(c * out[k - i] for i, c in self.terms.items() if 0 < i <= k)
+        return self._like(out)
 
     def __repr__(self):
         return f"ThetaSeries({[str(c) for c in self.coeffs]})"
