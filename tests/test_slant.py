@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +130,22 @@ def test_odd_index_range_tracks_genus():
         parse_expr("G[1,5]", CTX22)
     with pytest.raises(SlantSyntaxError):
         parse_expr("<c1|g1>", AlgebraContext(r=1, genus=0))
+
+
+PARSE_GOLDEN = Path(__file__).resolve().parent / "golden" / "slant_parse.jsonl"
+
+
+def test_parse_golden_replays():
+    # the committed parses, written by tests/golden/make_slant_parse_golden.py
+    lines = PARSE_GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert len(lines) > 2000
+    for line in lines:
+        r, genus, text, expected = json.loads(line)
+        try:
+            got = repr(parse_expr(text, AlgebraContext(r=r, genus=genus)))
+        except SlantSyntaxError as err:
+            got = str(err)
+        assert got == expected, (r, genus, text)
 
 
 # -- normal forms ------------------------------------------------------------
