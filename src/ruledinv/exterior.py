@@ -440,7 +440,8 @@ class TextSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_\d]*|[<>|().,+\-*^\[\]]|\S)")
+# symbols first, as most tokens are; the first character alone picks the class
+_TOKEN_RE = re.compile(r"\s*([<>|().,+\-*^\[\]]|\d+|[A-Za-z_][A-Za-z_\d]*|\S)")
 # a character no token class takes; the tokenizer's \S catches it alone
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_<>|().,+\-*^\[\]]")
 # the kinds of token other than symbols, read off the first character
@@ -462,10 +463,11 @@ class TokenCursor:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _TOKEN_RE.findall(text)
-        # no int or word may outgrow the digit limit, so int() of its digits succeeds
+        # no int or word may outgrow the digit limit, so int() of its digits succeeds;
+        # no token outgrows the text, so a short text skips the scan
         limit = sys.get_int_max_str_digits()
         bad = _BAD_RE.search(text)
-        if 0 < limit < max(map(len, self.tokens), default=0):
+        if 0 < limit < len(text) and limit < max(map(len, self.tokens), default=0):
             index, tok = next((n, tok) for n, tok in enumerate(self.tokens) if len(tok) > limit)
             kind = "int" if tok[0].isdecimal() else "word"
             error = self.fail(f"{kind} longer than the {limit}-digit limit", index)
@@ -484,9 +486,11 @@ class TokenCursor:
     def take(self, kind):
         """The next token, which must be of kind: a symbol, "int" or "word"; an int as an int."""
         tok = self.tokens[self.pos]
-        test = _KIND_TESTS.get(kind)
-        if not (test(tok[:1]) if test else tok == kind):
-            raise self.expected(repr(kind), self.pos)
+        # a symbol is its own kind; the words "int" and "word" are not those kinds
+        if tok != kind or kind == "int" or kind == "word":
+            test = _KIND_TESTS.get(kind)
+            if not (test and test(tok[:1])):
+                raise self.expected(repr(kind), self.pos)
         self.pos += 1
         return int(tok) if kind == "int" else tok
 

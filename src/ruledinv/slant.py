@@ -123,28 +123,56 @@ class _Parser(TokenCursor):
         return ("add", tuple(terms))
 
     def term(self):
-        factors = [self.factor()]
-        while self.tokens[self.pos] == "*":
+        """factor ('*' factor)*, factor := primary ('^' int)*; int, u, v and G read here."""
+        tokens, r, odd = self.tokens, self.ctx.r, 2 * self.ctx.genus
+        factors = []
+        while True:
+            pos = self.pos
+            tok = tokens[pos]
+            first = tok[:1]
+            if first.isdecimal():
+                node = ("int", int(tok))
+                self.pos = pos + 1
+            elif (first == "u" or first == "v") and tok[1:].isdecimal():
+                i = int(tok[1:])
+                if not 1 <= i <= r:
+                    self.check_index("chern", i, r, pos)
+                node = ("slant", (("c", i),), ("pt",) if first == "u" else ("sigma",))
+                self.pos = pos + 1
+            elif tok == "G":
+                if tokens[pos + 1] != "[":
+                    raise self.expected("'['", pos + 1)
+                if not tokens[pos + 2][:1].isdecimal():
+                    raise self.expected("'int'", pos + 2)
+                i = int(tokens[pos + 2])
+                if not 1 <= i <= r:
+                    self.check_index("chern", i, r, pos + 2)
+                if tokens[pos + 3] != ",":
+                    raise self.expected("','", pos + 3)
+                if not tokens[pos + 4][:1].isdecimal():
+                    raise self.expected("'int'", pos + 4)
+                j = int(tokens[pos + 4])
+                if not 1 <= j <= odd:
+                    self.check_index("odd", j, odd, pos + 4)
+                if tokens[pos + 5] != "]":
+                    raise self.expected("']'", pos + 5)
+                node = ("slant", (("c", i),), ("gamma", j))
+                self.pos = pos + 6
+            else:
+                node = self.primary()
+            powers = 0
+            while tokens[self.pos] == "^":
+                powers += 1
+                self.check_nesting(powers, "'^' in a row")
+                self.pos += 1
+                node = ("pow", node, self.take("int"))
+            factors.append(node)
+            if tokens[self.pos] != "*":
+                return factors[0] if len(factors) == 1 else ("mul", tuple(factors))
             self.pos += 1
-            factors.append(self.factor())
-        if len(factors) == 1:
-            return factors[0]
-        return ("mul", tuple(factors))
-
-    def factor(self):
-        node = self.primary()
-        powers = 0
-        while self.tokens[self.pos] == "^":
-            powers += 1
-            self.check_nesting(powers, "'^' in a row")
-            self.pos += 1
-            node = ("pow", node, self.take("int"))
-        return node
 
     def primary(self):
         tok = self.tokens[self.pos]
-        if tok[:1].isdecimal():
-            return ("int", self.take("int"))
         if tok == "(":
             self.depth += 1
             self.check_nesting(self.depth, "nested parentheses")
@@ -155,21 +183,6 @@ class _Parser(TokenCursor):
             return node
         if tok == "<":
             return self.slant()
-        if tok == "G":
-            self.pos += 1
-            self.take("[")
-            i = self.take("int")
-            self.check_index("chern", i, self.ctx.r, self.pos - 1)
-            self.take(",")
-            j = self.take("int")
-            self.check_index("odd", j, 2 * self.ctx.genus, self.pos - 1)
-            self.take("]")
-            return ("slant", (("c", i),), ("gamma", j))
-        letters, num = self.split_word(tok)
-        if letters in ("u", "v"):
-            self.check_index("chern", num, self.ctx.r, self.pos)
-            self.pos += 1
-            return ("slant", (("c", num),), ("pt",) if letters == "u" else ("sigma",))
         raise self.expected("a factor", self.pos)
 
     def slant(self):
@@ -274,10 +287,13 @@ class NormalForm(Combination):
         return (tuple(map(add, u1, u2)), tuple(map(add, v1, v2)), odd), sign
 
     def monomial_degree(self, key) -> int:
+        # u_k and v_{k+1} both have degree 2k, G[i,j] has degree 2i-1
         u, v, odd = key
-        deg = sum(e * 2 * (i + 1) for i, e in enumerate(u))
-        deg += sum(e * (2 * (i + 2) - 2) for i, e in enumerate(v))
-        deg += sum(2 * i - 1 for i, _ in odd)
+        deg = -len(odd)
+        for k, e in enumerate(map(add, u, v + (0,)), 1):
+            deg += 2 * k * e
+        for i, _ in odd:
+            deg += 2 * i
         return deg
 
     def __repr__(self):
@@ -342,15 +358,19 @@ def normalize(expr, ctx: AlgebraContext) -> NormalForm:
             raise ValueError(f"negative power {expr[2]}")
         if expr[2] > MAX_EXPONENT:
             raise ValueError(f"power {clip(str(expr[2]))} is over the limit of {MAX_EXPONENT}")
-        # square and multiply: products associate, so this is base^e exactly
         base, e = normalize(expr[1], ctx), expr[2]
-        out = NormalForm.scalar(ctx, 1)
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
+        if e == 0:
+            return NormalForm.scalar(ctx, 1)
+        # out = base^k over e's bits from the top.  Squaring costs |out|^2 merges, k more
+        # factors of base about k*|out|*|base|: a wider power (a sum's, soon) grows by base.
+        out, k = base, 1
+        for bit in bin(e)[3:]:
+            if len(out.terms) <= k * len(base.terms):
+                out = out * out
+            else:
+                for _ in range(k):
+                    out = out * base
+            out, k = (out * base, 2 * k + 1) if bit == "1" else (out, 2 * k)
         return out
     if tag == "slant":
         return _reduce_slant(tuple(expr[1]), tuple(expr[2]), ctx)
@@ -361,13 +381,9 @@ def print_normal(nf: NormalForm) -> str:
     """Canonical text form; parse_expr of the output normalizes back to nf."""
     terms = []
     for (u, v, odd), coeff in nf.items():
-        parts = []
-        for letter, first, exponents in (("u", 1, u), ("v", 2, v)):
-            for i, e in enumerate(exponents, first):
-                if e:
-                    parts.append(f"{letter}{i}" + (f"^{e}" if e > 1 else ""))
-        for i, j in odd:
-            parts.append(f"G[{i},{j}]")
+        parts = [f"u{i}^{e}" if e > 1 else f"u{i}" for i, e in enumerate(u, 1) if e]
+        parts += [f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in enumerate(v, 2) if e]
+        parts += [f"G[{i},{j}]" for i, j in odd]
         terms.append(("*".join(parts), coeff))
     return format_terms(terms)
 

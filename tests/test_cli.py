@@ -147,6 +147,20 @@ def test_normalize_with_k0_table(capsys):
     assert payload["result"]["normal_form"] == "3"
 
 
+def test_normalize_reads_its_own_output_after_double_dash(capsys):
+    # argparse reads a printed one-term form like "-2*u1" as a flag unless it follows --
+    flags = ["normalize", "--genus", "0", "--scalar-degree", "1"]
+    code, out, _ = run(capsys, flags + ["<c1.c1|S>"])
+    form = json.loads(out)["result"]["normal_form"]
+    assert code == 0 and form == "-2*u1"
+    with pytest.raises(SystemExit) as exc:
+        main(flags + [form])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, flags + ["--", form])
+    assert code == 0 and json.loads(out)["result"]["normal_form"] == form
+
+
 def test_evaluate(capsys):
     code, out, _ = run(
         capsys,

@@ -230,6 +230,53 @@ def test_power_and_rank_caps():
         AlgebraContext(r=MAX_RANK + 1, genus=0)
 
 
+def test_power_of_a_sum_grows_by_its_base(monkeypatch):
+    # squaring a wide power costs more merges than multiplying it by its base e - 1 times
+    ctx = AlgebraContext(r=3, genus=3)
+    base = norm("u1+u2+u3+v2+G[1,1]+G[2,3]", ctx)
+    powers = [base]
+    for _ in range(11):
+        powers.append(powers[-1] * base)
+    merges = []
+    merge = NormalForm.merge_monomials
+    monkeypatch.setattr(
+        NormalForm, "merge_monomials", staticmethod(lambda m1, m2: merges.append(1) or merge(m1, m2))
+    )
+    for e in (8, 12):
+        merges.clear()
+        assert norm(f"(u1+u2+u3+v2+G[1,1]+G[2,3])^{e}", ctx) == powers[e - 1]
+        assert len(merges) <= len(base.terms) * sum(len(p.terms) for p in powers[: e - 1])
+    # a power that stays narrow still squares: 19 squarings of at most 2 x 2 terms
+    for text, want in (("u1^524288", "u1^524288"), ("(1+G[1,1])^524288", "1 + 524288*G[1,1]")):
+        merges.clear()
+        assert print_normal(norm(text, CTX22)) == want
+        assert len(merges) <= 4 * 19
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_monomial_degree_orders_the_terms(r):
+    # the grading written out: u_i has degree 2i, v_i degree 2i - 2, G[i,j] degree 2i - 1
+    def degree(key):
+        u, v, odd = key
+        deg = sum(2 * i * e for i, e in enumerate(u, 1))
+        deg += sum((2 * i - 2) * e for i, e in enumerate(v, 2))
+        return deg + sum(2 * i - 1 for i, _ in odd)
+
+    rng = random.Random(r)
+    odd_gens = [(i, j) for i in range(1, r + 1) for j in range(1, 5)]
+    keys = {
+        (
+            tuple(rng.randint(0, 3) for _ in range(r)),
+            tuple(rng.randint(0, 3) for _ in range(r - 1)),
+            tuple(sorted(rng.sample(odd_gens, rng.randint(0, 3)))),
+        )
+        for _ in range(300)
+    }
+    nf = NormalForm(r, 2, dict.fromkeys(keys, 1))
+    assert all(nf.monomial_degree(key) == degree(key) for key in keys)
+    assert [key for key, _ in nf.items()] == sorted(keys, key=lambda key: (degree(key), key))
+
+
 def test_context_shape_mismatch():
     # normal forms of different (r, genus) do not combine and never compare equal
     x = norm("u1", CTX22)
