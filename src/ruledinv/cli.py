@@ -16,12 +16,10 @@ import os
 import re
 import sys
 
-from .exterior import SurfaceTopology, clip, format_int, format_multivector, parse_multivector
+from .exterior import WORD, SurfaceTopology, clip, format_int, format_multivector, parse_multivector
 
 _SAFE_MAX = 2**53 - 1
 _INT_TEXT = re.compile(r"\s*[+-]?\d+\s*")
-# a word as the tokenizer reads it, so k0[name] can refer to it
-_K0_NAME = re.compile(r"[A-Za-z_][A-Za-z_\d]*")
 
 
 def _safe(obj):
@@ -52,7 +50,8 @@ def _parse_k0(pairs):
             else:
                 why = f"in {clip(repr(item))}, expected an integer"
             raise ValueError(f"bad --k0 value {why}") from None
-        if not _K0_NAME.fullmatch(name):
+        # a word as the tokenizer reads it, so k0[name] can refer to it
+        if not re.fullmatch(WORD, name):
             raise ValueError(f"bad --k0 name {clip(repr(name))}, expected a word")
         if name in table:
             raise ValueError(f"--k0 name {clip(repr(name))} given twice")
@@ -183,8 +182,15 @@ def _add_slant_flags(sub):
     sub.add_argument("expr", help="slant-algebra expression")
 
 
+class _ArgParser(argparse.ArgumentParser):
+    """Flag errors exit 2 with one line, as every other error does; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgParser(
         prog="ruledinv",
         description="Exact quotient counts and Seiberg-Witten invariants of ruled surfaces",
     )

@@ -10,11 +10,13 @@ Generators carry flat indices 0..2g-1 with a_k at 2(k-1) and b_k at
 2(k-1)+1; a blade is a strictly increasing tuple of such indices.
 
 Multivector, the slant algebra's NormalForm and the Segre oracle's
-ThetaSeries share one sparse core, Combination.  Validation happens where terms enter: the public
-constructors and the parsers.  Results built from terms that are
-already valid (wedge, sums, scalings, theta and its powers, exp_even)
-come through the trusted Combination._like.  The small value classes of
-every layer (SurfaceTopology here) are plain __slots__ classes on Record.
+ThetaSeries share one sparse core, Combination.  Validation happens
+where terms enter: the public constructors and the parsers.  Results
+built from terms that are already valid (wedge, sums, scalings, theta
+and its powers, exp_even) come through the one trusted
+Combination._like.  Every value class is a __slots__ class on Record:
+the small ones of every layer (SurfaceTopology here), and Combination,
+whose subclasses' own __slots__ are their shape.
 """
 
 import re
@@ -43,7 +45,7 @@ Blade = tuple
 
 
 class Record:
-    """Base of the small value classes: __slots__ names the fields, in order.
+    """Base of the value classes: __slots__ names the fields, in order.
 
     Instances compare, hash and print by their fields, as a frozen
     dataclass would, and are immutable by convention.  A subclass whose
@@ -53,7 +55,8 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = attrgetter(*cls.__slots__)
+        # no fields read None, through a staticmethod: a plain function would bind
+        cls._fields = attrgetter(*cls.__slots__) if cls.__slots__ else staticmethod(lambda r: None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -136,19 +139,17 @@ def merge_blades(x: tuple, y: tuple):
     return tuple(merged), (-1 if parity else 1)
 
 
-class Combination:
+class Combination(Record):
     """Sparse exact combination of monomials, with its arithmetic.
 
     terms maps monomials to nonzero coefficients: ints, except the exact
     Fractions of picard.ThetaSeries.  Immutable by convention: no method
-    mutates, operators return fresh instances.  A subclass supplies four
-    hooks:
+    mutates, operators return fresh instances.  A subclass's own
+    __slots__ are its shape, what two operands must share, read through
+    Record's _fields (None for a subclass with no slots).  It supplies
+    two hooks:
 
     - monomial_degree(m), the degree of one monomial;
-    - _shape(), what two operands must share (None here);
-    - _like(terms), a result of the same shape from terms whose
-      monomials are already valid; it drops zeros and checks nothing
-      else;
     - merge_monomials(m1, m2), the product of two monomials as
       (monomial, sign), or None when it vanishes.
 
@@ -163,11 +164,16 @@ class Combination:
 
     __slots__ = ("terms",)
 
-    def _shape(self):
-        return None
+    def _like(self, terms):
+        """self's type and shape over terms of valid monomials; drops zeros, checks nothing."""
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.terms = {m: c for m, c in terms.items() if c}
+        return out
 
     def _check_shape(self, other):
-        if self._shape() != other._shape():
+        if self._fields(self) != other._fields(other):
             raise ValueError(f"{type(self).__name__} operands built over different contexts")
 
     def signed_sum(self, parts):
@@ -218,10 +224,10 @@ class Combination:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._shape() == other._shape() and self.terms == other.terms
+        return self._fields(self) == other._fields(other) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self._shape(), frozenset(self.terms.items())))
+        return hash((self._fields(self), frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -264,12 +270,6 @@ class Multivector(Combination):
             if coeff:
                 clean[blade] = coeff
         self.terms = clean
-
-    @classmethod
-    def _like(cls, terms):
-        out = object.__new__(cls)
-        out.terms = {b: c for b, c in terms.items() if c}
-        return out
 
     @classmethod
     def zero(cls) -> "Multivector":
@@ -322,7 +322,7 @@ def wedge(x: Multivector, y: Multivector, topo: SurfaceTopology) -> Multivector:
 
 def theta_class(topo: SurfaceTopology) -> Multivector:
     """Sum of a_k^b_k over the handles; zero in genus 0."""
-    return Multivector._like({(2 * h, 2 * h + 1): 1 for h in range(topo.genus)})
+    return Multivector()._like({(2 * h, 2 * h + 1): 1 for h in range(topo.genus)})
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +343,7 @@ def theta_divided_power(topo: SurfaceTopology, k: int) -> Multivector:
     terms = {}
     for subset in combinations(range(topo.genus), k):
         terms[tuple(i for h in subset for i in (2 * h, 2 * h + 1))] = 1
-    return Multivector._like(terms)
+    return Multivector()._like(terms)
 
 
 def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
@@ -378,7 +378,7 @@ def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
                     f"exp_even: coefficient {coeff} on {blade} not divisible by {k}"
                 )
             terms[blade] = q
-        power = Multivector._like(terms)
+        power = raw._like(terms)
         result = result + power
     return result
 
@@ -440,8 +440,10 @@ class TextSyntaxError(ValueError):
         self.position = position
 
 
+# a word token: a letter or '_', then letters, digits or '_'
+WORD = r"[A-Za-z_][A-Za-z_\d]*"
 # symbols first, as most tokens are; the first character alone picks the class
-_TOKEN_RE = re.compile(r"\s*([<>|().,+\-*^\[\]]|\d+|[A-Za-z_][A-Za-z_\d]*|\S)")
+_TOKEN_RE = re.compile(rf"\s*([<>|().,+\-*^\[\]]|\d+|{WORD}|\S)")
 # a character no token class takes; the tokenizer's \S catches it alone
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_<>|().,+\-*^\[\]]")
 # the kinds of token other than symbols, read off the first character

@@ -116,5 +116,5 @@ def sw_equals_ggw_check(d: int, n: int, geom: RuledSurfaceGeometry, l: Multivect
     res = sw_ruled(d, n, geom, l)
     # the index dictionary must agree before the values can
     if res.w_c != 2 * v:
-        raise ArithmeticError((res.w_c, v))
+        raise ArithmeticError(f"index dictionary: w_c = {res.w_c}, but 2v = {2 * v}")
     return res.value_signed_chamber == res.sign * ggw_abelian(geom.genus, r0, v, l)

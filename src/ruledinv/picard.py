@@ -55,15 +55,6 @@ class ThetaSeries(Combination):
             raise ValueError("need at least the constant coefficient")
         self.terms = {i: c for i, c in enumerate(coeffs[: self.genus + 1]) if c}
 
-    def _like(self, terms):
-        out = object.__new__(ThetaSeries)
-        out.genus = self.genus
-        out.terms = {i: c for i, c in terms.items() if c}
-        return out
-
-    def _shape(self):
-        return self.genus
-
     def merge_monomials(self, i, j):
         return (i + j, 1) if i + j <= self.genus else None
 
@@ -164,10 +155,8 @@ def poincare_chern(dprime: int, genus: int) -> KunnethClass:
 
     Computed as the exponential of the first Chern class d'*eta + gamma;
     the square of that class is -2*theta*eta and the cube vanishes, so
-    the loop stops on its own.
+    the loop stops on its own.  A negative genus raises in ThetaSeries.
     """
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
     zero = ThetaSeries.constant(0, genus)
     c1 = KunnethClass(zero, ThetaSeries.constant(1, genus), ThetaSeries.constant(dprime, genus))
     result = KunnethClass.unit(genus)
@@ -269,7 +258,7 @@ def ggw_via_segre(
     big_n = r0 * (1 - genus - dprime) - 1
     v = abelian_v(r0, d, d0, genus)
     if genus + big_n - k != v:
-        raise ArithmeticError((genus, big_n, k, v))
+        raise ArithmeticError(f"Segre bookkeeping: g + N - k = {genus + big_n - k}, but v = {v}")
 
     topo = None
     series = _pushforward_segre(genus, r0, dprime)

@@ -251,15 +251,6 @@ class NormalForm(Combination):
         self.r, self.genus = r, genus
         self.terms = {key: coeff for key, coeff in (terms or {}).items() if coeff}
 
-    def _shape(self):
-        return (self.r, self.genus)
-
-    def _like(self, terms):
-        out = object.__new__(NormalForm)
-        out.r, out.genus = self.r, self.genus
-        out.terms = {key: coeff for key, coeff in terms.items() if coeff}
-        return out
-
     @classmethod
     def zero(cls, ctx: AlgebraContext) -> "NormalForm":
         return cls(ctx.r, ctx.genus)
@@ -399,11 +390,9 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
         raise NotImplementedError("evaluation is only defined for the rank-1 algebra")
     if nf.genus != genus:
         raise ValueError(f"normal form genus {nf.genus} does not match {genus}")
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
+    topo = SurfaceTopology(genus)  # a negative genus raises here
     if r0 < 1:
         raise ValueError("target rank must be >= 1")
-    topo = SurfaceTopology(genus)
     total = 0
     for (u, _v, odd), coeff in nf.terms.items():
         a = u[0]

@@ -16,7 +16,6 @@ with the change.  Run from the repository root:
 
 import io
 import json
-import os
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -26,9 +25,7 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[2]
 CORPUS = Path(__file__).resolve().parent / "cli.jsonl"
-# argparse wraps its usage lines at the terminal width, and digit-limit
-# messages name the interpreter's int/str limit
-COLUMNS = "80"
+# digit-limit messages name the interpreter's int/str limit
 DIGITS = 4300
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -157,7 +154,6 @@ def respond(argv):
 
 
 def main():
-    os.environ["COLUMNS"] = COLUMNS
     sys.set_int_max_str_digits(DIGITS)
     requests = seeded_mix() + error_requests() + large_genus() + dense_forms() + hand_written()
     with CORPUS.open("w") as fh:

@@ -253,22 +253,25 @@ def test_digit_limit_is_named(capsys, argv, tail):
         ["ggw", "--genus", "x", "--r0", "2", "--v", "0"],
         ["nonsense"],
         [],
+        ["normalize", "--genus", "1", "-u1"],  # a leading '-' reads as a flag without '--'
     ],
 )
 def test_flag_errors_exit_2(capsys, argv):
+    # argparse's own errors keep the one-line contract: no usage block
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
 
 
-def test_cli_corpus_replays_byte_identical(capsys, monkeypatch):
+def test_cli_corpus_replays_byte_identical(capsys):
     # the committed byte contract, written by tests/golden/make_cli_corpus.py
-    # under the settings pinned here: argparse wraps its usage lines at the
-    # terminal width, and digit-limit messages name the limit
-    monkeypatch.setenv("COLUMNS", "80")
+    # under the digit limit pinned here, which digit-limit messages name
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     changed = []

@@ -69,6 +69,8 @@ def test_top_pairing_reversed_blade_is_minus_one():
 def test_top_pairing_theta_divided_power():
     topo = SurfaceTopology(2)
     assert top_pairing(theta_divided_power(topo, 2), topo) == 1
+    with pytest.raises(ValueError, match="^power must be nonnegative$"):
+        theta_divided_power(topo, -1)
 
 
 def test_exp_even_theta_genus2_full_expansion():
@@ -112,6 +114,8 @@ def test_constructor_validates_and_drops_zeros():
 
 
 def test_generator_out_of_range_rejected():
+    with pytest.raises(ValueError, match="^handle index 3 out of range for genus 2$"):
+        SurfaceTopology(2).a(3)
     topo = SurfaceTopology(1)
     bad = Multivector.generator(2)
     with pytest.raises(ValueError):

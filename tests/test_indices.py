@@ -30,6 +30,8 @@ def test_validation_errors():
         abelian_v(0, 0, 0, 1)
     with pytest.raises(ValueError):
         abelian_v(1, 0, 0, -1)
+    with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+        RuledSurfaceGeometry(-1, 0)
 
 
 # -- ruled surface intersection ring ----------------------------------------

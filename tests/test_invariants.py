@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruledinv import invariants
 from ruledinv.exterior import Multivector, SurfaceTopology, theta_class
-from ruledinv.indices import H2Class, RuledSurfaceGeometry
+from ruledinv.indices import H2Class, RuledSurfaceGeometry, abelian_v
 from ruledinv.invariants import (
     ggw_abelian,
     quot_count,
@@ -155,6 +156,13 @@ def test_sw_equals_ggw_spot_cases():
     assert sw_equals_ggw_check(-2, 3, RuledSurfaceGeometry(2, 2), ONE)
     with pytest.raises(ValueError):
         sw_equals_ggw_check(0, -1, RuledSurfaceGeometry(1, 0), ONE)
+
+
+def test_dictionary_error_names_both_sides(monkeypatch):
+    # a v off by one breaks w_c = 2v; the error says what disagreed
+    monkeypatch.setattr(invariants, "abelian_v", lambda *args: abelian_v(*args) + 1)
+    with pytest.raises(ArithmeticError, match="^index dictionary: w_c = 4, but 2v = 6$"):
+        sw_equals_ggw_check(1, 1, RuledSurfaceGeometry(1, 0), ONE)
 
 
 @given(st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruledinv import picard
 from ruledinv.exterior import Multivector, SurfaceTopology, theta_class
 from ruledinv.indices import RuledSurfaceGeometry, abelian_v
 from ruledinv.invariants import ggw_abelian, sw_ruled
@@ -157,6 +158,8 @@ def test_poincare_chern_closed_form():
     assert kc.gamma_part == ThetaSeries.constant(1, 2)
     assert kc.eta_part == series(5, -1, genus=2)
     assert integrate_sigma(kc) == series(5, -1, genus=2)
+    with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+        poincare_chern(0, -1)
 
 
 def test_grr_pushforward_examples():
@@ -165,6 +168,10 @@ def test_grr_pushforward_examples():
     assert grr_pushforward(-3, 2, 2) == series(-8, -2, genus=2)
     with pytest.raises(ValueError):
         grr_pushforward(0, 0, 1)
+    # a negative genus is named, and before a bad rank
+    for r0 in (1, 0):
+        with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+            grr_pushforward(0, r0, -1)
 
 
 @given(st.integers(-6, 6), st.integers(1, 5), st.integers(0, 5))
@@ -234,6 +241,14 @@ def test_segre_route_preconditions():
         ggw_via_segre(-1, 1, 0, 0, 5, ONE)
     with pytest.raises(ValueError):
         ggw_via_segre(1, 0, 0, 0, 5, ONE)
+
+
+def test_segre_bookkeeping_error_names_both_sides(monkeypatch):
+    # a v off by one breaks (g + N) - k = v; the error says what disagreed
+    monkeypatch.setattr(picard, "abelian_v", lambda *args: abelian_v(*args) + 1)
+    t = min_valid_aux_twist(2, 3, -1, 1)
+    with pytest.raises(ArithmeticError, match=r"^Segre bookkeeping: g \+ N - k = 2, but v = 3$"):
+        ggw_via_segre(2, 3, -1, 1, t, ONE)
 
 
 @given(st.integers(0, 3), st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3))

@@ -90,6 +90,7 @@ def test_parse_whitespace_insensitive():
         ("u1^2^", "expected 'int', found end of input at position 5"),
         ("u1^int", "expected 'int', found 'int' at position 3"),
         ("<k0[12]|S>", "expected 'word', found 12 at position 4"),
+        ("<x|S>", "expected a cup atom, found 'x' at position 1"),
     ],
 )
 def test_parse_errors_carry_positions(text, position):
@@ -214,6 +215,8 @@ def test_print_forms():
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         normalize(("pow", ("int", 2), -1), CTX22)
+    with pytest.raises(ValueError, match="^unknown node tag 'bogus'$"):
+        normalize(("bogus",), CTX22)
     with pytest.raises(SlantSyntaxError):
         parse_expr("u1^-1", CTX22)
 
@@ -228,6 +231,10 @@ def test_power_and_rank_caps():
     assert print_normal(norm("u1*v2", AlgebraContext(r=MAX_RANK, genus=0))) == "u1*v2"
     with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} is over the limit"):
         AlgebraContext(r=MAX_RANK + 1, genus=0)
+    with pytest.raises(ValueError, match="^rank must be >= 1$"):
+        AlgebraContext(0, 1)
+    with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+        AlgebraContext(1, -1)
 
 
 def test_power_of_a_sum_grows_by_its_base(monkeypatch):
@@ -275,6 +282,11 @@ def test_monomial_degree_orders_the_terms(r):
     nf = NormalForm(r, 2, dict.fromkeys(keys, 1))
     assert all(nf.monomial_degree(key) == degree(key) for key in keys)
     assert [key for key, _ in nf.items()] == sorted(keys, key=lambda key: (degree(key), key))
+
+
+def test_normal_form_repr_names_shape_and_text():
+    nf = norm("u1 - 2*G[1,1]*G[1,2]", CTX22)
+    assert repr(nf) == "NormalForm(r=2, genus=2, '-2*G[1,1]*G[1,2] + u1')"
 
 
 def test_context_shape_mismatch():
@@ -479,3 +491,5 @@ def test_evaluate_validation():
         evaluate_abelian(norm("u1", CTX1), 2, 2, 0)
     with pytest.raises(ValueError):
         evaluate_abelian(norm("u1", CTX1), 1, 0, 0)
+    with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+        evaluate_abelian(NormalForm(1, -1), -1, 1, 0)
