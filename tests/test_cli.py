@@ -542,9 +542,14 @@ def test_package_does_not_import_dataclasses():
     [
         (["quot-count", "--genus", "3", "--r0", "2"], {"invariants"}, {"slant", "picard", "checks"}),
         (["normalize", "--genus", "1", "<c1.c1|S>"], {"slant"}, {"picard", "checks"}),
+        (
+            ["evaluate", "--genus", "1", "--r0", "2", "--v", "1", "u1 + G[1,1]*G[1,2]"],
+            {"slant"},
+            {"invariants", "indices", "picard", "checks"},
+        ),
         (["check", "--max-genus", "0", "--max-r0", "1"], {"picard", "checks"}, set()),
     ],
-    ids=["quot-count", "normalize", "check"],
+    ids=["quot-count", "normalize", "evaluate", "check"],
 )
 def test_request_loads_only_the_layers_it_uses(argv, loaded, unloaded):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

@@ -3,10 +3,18 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzz_exprs import random_context, random_expr
 from ruledinv.invariants import ggw_abelian
-from ruledinv.exterior import Multivector
+from ruledinv.exterior import (
+    Multivector,
+    SurfaceTopology,
+    theta_divided_power,
+    top_pairing,
+    wedge,
+)
 from ruledinv.slant import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -493,3 +501,46 @@ def test_evaluate_validation():
         evaluate_abelian(norm("u1", CTX1), 1, 0, 0)
     with pytest.raises(ValueError, match="^genus must be nonnegative$"):
         evaluate_abelian(NormalForm(1, -1), -1, 1, 0)
+
+
+def reference_evaluate(nf, genus, r0, v):
+    # exterior's generic route, which the kernel never calls: wedge the
+    # divided theta power with the term's odd blade and read the top grade
+    topo = SurfaceTopology(genus)
+    total = 0
+    for (u, _v, odd), coeff in nf.terms.items():
+        i = u[0] + genus - v
+        if 0 <= i <= genus:
+            blade = Multivector.blade([j - 1 for _, j in odd])
+            total += coeff * r0**i * top_pairing(wedge(theta_divided_power(topo, i), blade, topo), topo)
+    return total
+
+
+@st.composite
+def rank1_forms(draw):
+    """A fuzzed rank-1 normal form plus hand-built keys whose odd indices
+    are unsorted or repeated, as neither parse_expr nor normalize makes."""
+    genus = draw(st.integers(0, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k0 = {"h": rng.randint(-3, 3)} if rng.random() < 0.4 else {}
+    ctx = AlgebraContext(1, genus, rng.randint(-3, 3), k0)
+    nf = norm(random_expr(rng, ctx), ctx)
+    keys = draw(
+        st.dictionaries(
+            st.tuples(
+                st.integers(0, genus + 2),
+                st.lists(st.integers(1, 2 * genus), max_size=2 * genus + 1) if genus else st.just([]),
+            ).map(lambda t: ((t[0],), (), tuple((1, j) for j in t[1]))),
+            st.integers(-5, 5),
+            max_size=6,
+        )
+    )
+    return genus, nf + NormalForm(1, genus, keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank1_forms(), st.integers(1, 4), st.data())
+def test_evaluate_matches_the_generic_route(form, r0, data):
+    genus, nf = form
+    v = data.draw(st.integers(-1, genus + 2))
+    assert evaluate_abelian(nf, genus, r0, v) == reference_evaluate(nf, genus, r0, v)
