@@ -28,6 +28,11 @@ __all__ = [
 
 # cases run_all accepts: the default grids have 200,508, --max-genus 5 has 802,620
 MAX_CHECK_CASES = 1_000_000
+# oracle points (genus, r0, d, d0) run_all accepts, max_r0 * (2*max_deg + 1)^2 *
+# (max_genus + 1): each builds its own Segre series, so work grows with points, not
+# cases.  The default grids have 980, --max-genus 5 has 1,176; the slowest grid under
+# both caps, --max-genus 4 --max-r0 600 --max-deg 0, ran in about 5 s on 2 CPUs
+MAX_CHECK_POINTS = 3_000
 
 
 class CheckReport(Record):
@@ -118,7 +123,7 @@ def run_dictionary_grid(max_genus: int = 4, max_n: int = 3, max_deg: int = 3) ->
 
 def run_all(max_genus: int = 4, max_r0: int = 4, max_deg: int = 3) -> list[CheckReport]:
     """Both grids; bounds that leave a grid empty, or make it larger than
-    MAX_CHECK_CASES, are refused before any case runs."""
+    MAX_CHECK_CASES or MAX_CHECK_POINTS, are refused before any case runs."""
     if max_genus < 0 or max_r0 < 1 or max_deg < 0:
         raise ValueError("empty check grid: needs max_genus >= 0, max_r0 >= 1, max_deg >= 0")
     # (2 oracle twists + 1 dictionary case) per point and blade, over
@@ -129,6 +134,9 @@ def run_all(max_genus: int = 4, max_r0: int = 4, max_deg: int = 3) -> list[Check
     if cases > MAX_CHECK_CASES:
         least = "at least " if genus < max_genus else ""
         raise ValueError(f"check grid of {least}{cases} cases is over the limit of {MAX_CHECK_CASES}")
+    points = max_r0 * (2 * max_deg + 1) ** 2 * (max_genus + 1)
+    if points > MAX_CHECK_POINTS:
+        raise ValueError(f"check grid of {points} oracle points is over the limit of {MAX_CHECK_POINTS}")
     return [
         run_oracle_grid(max_genus, max_r0, max_deg),
         run_dictionary_grid(max_genus, max_r0 - 1, max_deg),

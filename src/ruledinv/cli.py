@@ -172,7 +172,7 @@ def _add_chamber_flag(sub):
 def _add_slant_flags(sub):
     sub.add_argument("--r", type=int, default=1, help="number of Chern generators")
     sub.add_argument("--genus", type=int, required=True)
-    sub.add_argument("--scalar-degree", type=int, default=0, dest="scalar_degree")
+    sub.add_argument("--scalar-degree", type=int, default=0)
     sub.add_argument(
         "--k0",
         action="append",
@@ -186,6 +186,9 @@ class _ArgParser(argparse.ArgumentParser):
     """Flag errors exit 2 with one line, as every other error does; subparsers share the class."""
 
     def error(self, message):
+        # argparse takes an expression that starts with '-' for a flag, so expr reads as missing
+        if "expr" in message.partition("arguments are required: ")[2].split(", "):
+            message += " (an expr that starts with '-' goes after --)"
         self.exit(2, f"error: {message}\n")
 
 
@@ -207,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("ggw-bundle", help="count from bundle degrees")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--r0", type=int, required=True)
-    p.add_argument("--deg-e", type=int, required=True, dest="deg_e")
-    p.add_argument("--deg-e0", type=int, required=True, dest="deg_e0")
+    p.add_argument("--deg-e", type=int, required=True)
+    p.add_argument("--deg-e0", type=int, required=True)
     _add_form_flag(p)
     _add_chamber_flag(p)
     p.set_defaults(run=_cmd_ggw_bundle)
@@ -217,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--deg-v0", type=int, required=True, dest="deg_v0")
+    p.add_argument("--deg-v0", type=int, required=True)
     _add_form_flag(p)
     p.set_defaults(run=_cmd_sw)
 
@@ -237,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_evaluate)
 
     p = subs.add_parser("check", help="run the cross-validation grids")
-    p.add_argument("--max-genus", type=int, default=4, dest="max_genus")
-    p.add_argument("--max-r0", type=int, default=4, dest="max_r0")
-    p.add_argument("--max-deg", type=int, default=3, dest="max_deg")
+    p.add_argument("--max-genus", type=int, default=4)
+    p.add_argument("--max-r0", type=int, default=4)
+    p.add_argument("--max-deg", type=int, default=3)
     p.set_defaults(run=_cmd_check)
 
     return parser

@@ -382,9 +382,11 @@ def print_normal(nf: NormalForm) -> str:
 def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
     """Pair a rank-1 normal form against the abelian moduli fundamental class.
 
-    The monomial u1^a times a product of G[1,j] maps to the pairing of
-    (r0*Theta)^(a+g-v)/(a+g-v)! wedged with the matching odd blade;
-    indices outside 0..g contribute nothing.
+    The monomial u1^a times G[1,j1]...G[1,jm] maps to (r0*Theta)^i/i!,
+    i = a+g-v, wedged with the odd blade B = e_{j1-1}...e_{jm-1}; it
+    reaches the top grade only when 2i + |B| = 2g, that is 2(v-a) = |B|.
+    Those terms make one form l, paired in one kernel pass over the
+    powers 0..g.
     """
     if nf.r != 1:
         raise NotImplementedError("evaluation is only defined for the rank-1 algebra")
@@ -393,12 +395,9 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
     topo = SurfaceTopology(genus)  # a negative genus raises here
     if r0 < 1:
         raise ValueError("target rank must be >= 1")
-    total = 0
-    for (u, _v, odd), coeff in nf.terms.items():
-        a = u[0]
-        idx = a + genus - v
-        if not 0 <= idx <= genus:
-            continue
-        blade = Multivector.blade([j - 1 for _, j in odd])
-        total += coeff * pair_theta_powers(blade, topo, r0, (idx,))
-    return total
+    l = Multivector.zero().signed_sum(
+        (coeff, Multivector.blade([j - 1 for _, j in odd]))
+        for (u, _v, odd), coeff in nf.terms.items()
+        if 2 * (v - u[0]) == len(odd)
+    )
+    return pair_theta_powers(l, topo, r0, range(genus + 1))

@@ -209,6 +209,9 @@ def test_evaluate(capsys):
         ["check", "--max-genus", "6"],
         ["check", "--max-genus", "0", "--max-deg", "0", "--max-r0", "1000000"],
         ["check", "--max-genus", "1000000000"],
+        # and grids past checks.MAX_CHECK_POINTS, as each oracle point builds
+        # its own Segre series
+        ["check", "--max-genus", "0", "--max-deg", "0", "--max-r0", "30000"],
         # powers past slant.MAX_EXPONENT and ranks past slant.MAX_RANK are
         # refused before the algebra runs
         ["normalize", "--genus", "1", "4^99999999999999999999"],
@@ -264,6 +267,9 @@ def test_flag_errors_exit_2(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+    # only the expression argparse took for a flag gets the hint that names --
+    assert ("goes after --" in out.err) == ("-u1" in argv)
+    assert len(out.err) < 200
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
@@ -308,6 +314,17 @@ def test_case_cap_counts_the_cases_both_grids_run(monkeypatch, flags):
     monkeypatch.setattr(checks, "MAX_CHECK_CASES", total - 1)
     with pytest.raises(ValueError, match=f"check grid of {total} cases is over"):
         checks.run_all(*flags)
+
+
+def test_point_cap_follows_the_case_cap(monkeypatch):
+    # the default grids have 4 * 7^2 * 5 = 980 oracle points
+    monkeypatch.setattr(checks, "MAX_CHECK_POINTS", 979)
+    with pytest.raises(ValueError, match="^check grid of 980 oracle points is over the limit of 979$"):
+        checks.run_all()
+    # a grid past both caps keeps the case cap's line
+    monkeypatch.setattr(checks, "MAX_CHECK_POINTS", 0)
+    with pytest.raises(ValueError, match="^check grid of 3211068 cases is over"):
+        checks.run_all(6)
 
 
 def test_check_failure_exits_1(capsys, monkeypatch):

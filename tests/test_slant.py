@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzz_exprs import random_context, random_expr
+from ruledinv import slant
 from ruledinv.invariants import ggw_abelian
 from ruledinv.exterior import (
     Multivector,
@@ -489,6 +490,20 @@ def test_evaluate_matches_closed_count():
             nf = norm(f"({stack}) * G[1,1]*G[1,2]", ctx)
             lam = Multivector.blade((0, 1))
             assert evaluate_abelian(nf, 2, r0, v) == ggw_abelian(2, r0, v, lam)
+
+
+def test_evaluate_pairs_in_one_kernel_call(monkeypatch):
+    # the grade rule picks the terms, the kernel picks each one's power
+    ctx = AlgebraContext(r=1, genus=2)
+    nf = norm("(1 + 2*u1 + u1^2 + u1^3) * (1 + G[1,1]*G[1,2] - 3*G[1,3]*G[1,4] + G[1,1]*G[1,3])", ctx)
+    calls = []
+    kernel = slant.pair_theta_powers
+    monkeypatch.setattr(slant, "pair_theta_powers", lambda *args: calls.append(1) or kernel(*args))
+    for r0 in (1, 3):
+        for v in range(-1, 5):
+            calls.clear()
+            assert evaluate_abelian(nf, 2, r0, v) == reference_evaluate(nf, 2, r0, v)
+            assert len(calls) == 1
 
 
 def test_evaluate_validation():
