@@ -6,7 +6,9 @@ the quotient-count dictionary on the other.  Each grid is a generator
 that yields one outcome per case, in a fixed nested order: None when the
 case passes, the counterexample dict when it fails.  One runner counts
 cases and failures and keeps the first counterexample, so output is
-deterministic for a given grid size.  A grid calls its route through
+deterministic for a given grid size.  A route that raises an
+ArithmeticError or ValueError fails its case, and the counterexample
+carries the error's text.  A grid calls its route through
 this module's globals, once per case, so a caller that rebinds
 `ggw_via_segre` or `sw_equals_ggw_check` here sees every case.
 """
@@ -64,6 +66,11 @@ def _run_grid(name, outcomes) -> CheckReport:
     return CheckReport(name, cases, failures, first)
 
 
+def _shown(result):
+    """A route's result as a counterexample shows it: an int, or the error it raised."""
+    return f"{type(result).__name__}: {result}" if isinstance(result, Exception) else result
+
+
 def _oracle_outcomes(max_genus, max_r0, max_deg):
     degrees = range(-max_deg, max_deg + 1)
     for genus in range(max_genus + 1):
@@ -72,9 +79,15 @@ def _oracle_outcomes(max_genus, max_r0, max_deg):
             v = abelian_v(r0, d, d0, genus)
             base_twist = min_valid_aux_twist(genus, r0, d, d0)
             for l in monomials:
-                want = ggw_abelian(genus, r0, v, l)
+                try:
+                    want = ggw_abelian(genus, r0, v, l)
+                except (ArithmeticError, ValueError) as err:
+                    want = err  # equal to no result, so both of l's cases fail
                 for twist in (base_twist, base_twist + 1):
-                    got = ggw_via_segre(genus, r0, d, d0, twist, l)
+                    try:
+                        got = ggw_via_segre(genus, r0, d, d0, twist, l)
+                    except (ArithmeticError, ValueError) as err:
+                        got = err
                     yield None if got == want else {
                         "genus": genus,
                         "r0": r0,
@@ -82,8 +95,8 @@ def _oracle_outcomes(max_genus, max_r0, max_deg):
                         "d0": d0,
                         "aux_twist": twist,
                         "l": repr(l),
-                        "closed_form": want,
-                        "oracle": got,
+                        "closed_form": _shown(want),
+                        "oracle": _shown(got),
                     }
 
 
@@ -96,19 +109,16 @@ def _dictionary_outcomes(max_genus, max_n, max_deg):
             for d, n in product(degrees, range(max_n + 1)):
                 fits = intersect(spinc_det(d, n, geom), FIBRE, geom) == 2 * n + 2
                 for l in monomials:
-                    if fits and sw_equals_ggw_check(d, n, geom, l):
-                        yield None
-                        continue
-                    res = sw_ruled(d, n, geom, l)
-                    yield {
-                        "genus": genus,
-                        "d": d,
-                        "n": n,
-                        "d0": d0,
-                        "l": repr(l),
-                        "sw": res.value_signed_chamber,
-                        "pair_with_fibre": res.pair_with_fibre,
-                    }
+                    try:
+                        if fits and sw_equals_ggw_check(d, n, geom, l):
+                            yield None
+                            continue
+                        res = sw_ruled(d, n, geom, l)
+                        sw, pair = res.value_signed_chamber, res.pair_with_fibre
+                        found = {"sw": sw, "pair_with_fibre": pair}
+                    except (ArithmeticError, ValueError) as err:
+                        found = {"error": _shown(err)}
+                    yield {"genus": genus, "d": d, "n": n, "d0": d0, "l": repr(l), **found}
 
 
 def run_oracle_grid(max_genus: int = 4, max_r0: int = 4, max_deg: int = 3) -> CheckReport:

@@ -186,9 +186,12 @@ class _ArgParser(argparse.ArgumentParser):
     """Flag errors exit 2 with one line, as every other error does; subparsers share the class."""
 
     def error(self, message):
-        # argparse takes an expression that starts with '-' for a flag, so expr reads as missing
+        # argparse takes a value that starts with '-' for a flag, so expr reads as
+        # missing and --form as bare
         if "expr" in message.partition("arguments are required: ")[2].split(", "):
             message += " (an expr that starts with '-' goes after --)"
+        elif message == "argument --form: expected one argument":
+            message += " (a form that starts with '-' goes as --form=...)"
         self.exit(2, f"error: {message}\n")
 
 

@@ -331,9 +331,10 @@ def theta_divided_power(topo: SurfaceTopology, k: int) -> Multivector:
 
     Agrees with exp_even(theta_class(topo)).homogeneous_part(2k); distinct
     a_i^b_i blocks commute, so each k-subset of handles contributes one
-    blade with coefficient +1.  Cached for the Segre oracle
-    (picard.ggw_via_segre): results are immutable and its grid asks for
-    the same powers constantly.  The closed forms never build it.
+    blade with coefficient +1.  Neither route builds it: the closed forms
+    read handle blades, the Segre oracle pairs through a Pfaffian.  The
+    cache stays while the benchmark's sweep set-up fills it and reports
+    its hit ratio.
     """
     if k < 0:
         raise ValueError("power must be nonnegative")

@@ -11,14 +11,23 @@ The series in theta are combinations on exterior's shared core, with
 exact rational coefficients; the count sums their pairings exactly and
 returns the total as an int, or raises ArithmeticError if it is not
 integral.
+
+A blade B pairs with the divided power Theta^[k] through the
+Pfaffian-minor expansion (Ishikawa-Wakayama, "Minor summation formula of
+Pfaffians", Linear Multilinear Algebra 39, 1995): a 2-form with skew
+matrix A has omega^[k] = sum over |S| = 2k of Pf(A_S) e_S, so
+<Theta^[k] ^ e_B, top> = eps(B^c, B) * Pf(A_{B^c}), with eps the shuffle
+sign.  The Pfaffian is exact skew elimination, which never builds
+Theta^[k] and its C(g, k) blades.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .exterior import Combination, Multivector, Record, SurfaceTopology
-from .exterior import theta_divided_power, top_pairing, wedge
+from .exterior import merge_blades, theta_class
 from .indices import abelian_v
 
 __all__ = [
@@ -230,6 +239,72 @@ def min_valid_aux_twist(genus: int, r0: int, d: int, d0: int) -> int:
     return max(bundle_bound, count_bound)
 
 
+def pfaffian(rows) -> Fraction:
+    """Pfaffian of the skew matrix with sparse rows {i: {j: a_ij}}.
+
+    Every index keys a row, an empty one too, taken in sorted order, and
+    a row holding a_ij has a_ji = -a_ij in row j.  Exact skew
+    elimination: pivot on the first row i left, at its first nonzero
+    column j; moving j next to i is a cyclic shift of sign (-1)^(pos-1),
+    pos being j's place among the indices left.  Then
+    Pf = sign * a_ij * Pf(S) for the Schur complement S, in which only the
+    rows that meet column i or j change.  A row with nothing left, as
+    the last row of an odd matrix has, makes the Pfaffian 0.
+    """
+    rows = {i: {j: Fraction(a) for j, a in row.items() if a} for i, row in rows.items()}
+    left = sorted(rows)
+    pf = Fraction(1)
+    while left:
+        i = left[0]
+        u = rows.pop(i)
+        if not u:
+            return Fraction(0)
+        j = min(u)
+        pos = bisect_left(left, j)
+        a = u.pop(j)
+        w = rows.pop(j)
+        del w[i], left[pos], left[0]
+        pf *= a if pos & 1 else -a
+        # S_kl = a_kl + (a_jk * a_il - a_ik * a_jl) / a_ij
+        met = u.keys() | w.keys()
+        for k in met:
+            row = rows[k]
+            row.pop(i, None)
+            row.pop(j, None)
+            uk, wk = u.get(k, 0), w.get(k, 0)
+            for m in met:
+                if m != k:
+                    x = row.get(m, 0) + (wk * u.get(m, 0) - uk * w.get(m, 0)) / a
+                    if x:
+                        row[m] = x
+                    else:
+                        row.pop(m, None)
+    return pf
+
+
+@lru_cache(maxsize=4096)
+def _theta_pairing(genus: int, blade: tuple) -> int:
+    """<Theta^[k] ^ e_B, top> for the blade B of even grade 2g - 2k; B past 2g raises.
+
+    eps(B^c, B) * Pf of Theta's matrix on the complement B^c, the matrix
+    read from the grade-2 blades of theta_class.  Cached: a grid asks
+    for the same few blades at every point.
+    """
+    if blade and blade[-1] >= 2 * genus:
+        raise ValueError(
+            f"ggw_via_segre: generator index {blade[-1]} out of range for genus {genus}"
+        )
+    inside = set(blade)
+    rows = {i: {} for i in range(2 * genus) if i not in inside}
+    for (i, j), c in theta_class(SurfaceTopology(genus)).terms.items():
+        if i in rows and j in rows:
+            rows[i][j], rows[j][i] = c, -c
+    pf = pfaffian(rows)
+    if pf.denominator != 1:
+        raise ArithmeticError(f"non-integral Pfaffian {pf} on the complement of {blade}")
+    return merge_blades(tuple(rows), blade)[1] * int(pf)
+
+
 def ggw_via_segre(
     genus: int, r0: int, d: int, d0: int, aux_twist: int, l: Multivector
 ) -> int:
@@ -240,7 +315,10 @@ def ggw_via_segre(
     (d' <= min(-1, d0) - 2g, a conservative bound) and that the section
     count k = r0*aux_twist - d0 is nonnegative.  The bookkeeping
     identity (g + N) - k = v ties the Segre index to the closed form's
-    truncation and is checked.
+    truncation and is checked.  Each blade B of l pairs with
+    Theta^[g - |B|/2] through the Pfaffian-minor expansion, as
+    eps(B^c, B) * Pf(Theta on B^c); a blade it pairs that lies past the
+    genus raises.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -260,7 +338,6 @@ def ggw_via_segre(
     if genus + big_n - k != v:
         raise ArithmeticError(f"Segre bookkeeping: g + N - k = {genus + big_n - k}, but v = {v}")
 
-    topo = None
     series = _pushforward_segre(genus, r0, dprime)
     lowest = max(0, genus - v)
     total = 0  # Fraction terms keep it exact once one is added
@@ -269,9 +346,7 @@ def ggw_via_segre(
         idx, odd = divmod(2 * genus - len(blade), 2)
         if odd or idx < lowest:
             continue
-        topo = topo or SurfaceTopology(genus)
-        lam = Multivector({blade: 1})
-        pairing = top_pairing(wedge(theta_divided_power(topo, idx), lam, topo), topo)
+        pairing = _theta_pairing(genus, blade)
         if pairing:
             total += coeff * series[idx] * factorial(idx) * pairing
     if total.denominator != 1:

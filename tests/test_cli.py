@@ -12,6 +12,7 @@ import pytest
 import ruledinv
 from ruledinv import checks, exterior
 from ruledinv.cli import main
+from ruledinv.indices import abelian_v
 
 
 def run(capsys, argv):
@@ -257,6 +258,8 @@ def test_digit_limit_is_named(capsys, argv, tail):
         ["nonsense"],
         [],
         ["normalize", "--genus", "1", "-u1"],  # a leading '-' reads as a flag without '--'
+        ["ggw", "--genus", "1", "--r0", "2", "--v", "1", "--form", "-9*a1^b1"],  # and without '='
+        ["ggw", "--genus", "1", "--r0", "2", "--v", "1", "--form"],
     ],
 )
 def test_flag_errors_exit_2(capsys, argv):
@@ -267,8 +270,10 @@ def test_flag_errors_exit_2(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
-    # only the expression argparse took for a flag gets the hint that names --
+    # only the expression argparse took for a flag gets the hint that names --,
+    # and only a --form left bare the hint that names --form=
     assert ("goes after --" in out.err) == ("-u1" in argv)
+    assert ("goes as --form=..." in out.err) == ("--form" in argv)
     assert len(out.err) < 200
 
 
@@ -396,6 +401,40 @@ def test_grid_failures_are_counted_and_reported(capsys, monkeypatch):
     assert json.loads(out)["result"]["total_failures"] == oracle.failures + dictionary.failures
 
 
+def test_a_route_that_raises_fails_its_case(capsys, monkeypatch):
+    # a bookkeeping error inside a case is that case's failure, with the
+    # error's text in the counterexample, and check exits 1, not 2: the
+    # oracle's v off by one at genus 2 fails every oracle case there, the
+    # dictionary's v off by one at genus 1 every dictionary case that fits
+    from ruledinv import invariants, picard
+
+    def v_off_at(genus):
+        return lambda r0, d, d0, g: abelian_v(r0, d, d0, g) + (g == genus)
+
+    monkeypatch.setattr(picard, "abelian_v", v_off_at(2))
+    code, out, err = run(capsys, ["check", "--max-genus", "2", "--max-r0", "2", "--max-deg", "1"])
+    assert code == 1 and err == ""
+    oracle, dictionary = json.loads(out)["result"]["grids"]
+    assert oracle["failures"] == 2 * 9 * 16 * 2  # r0, (d, d0), blades, twists
+    assert oracle["first_counterexample"] == {
+        "genus": 2,
+        "r0": 1,
+        "d": -1,
+        "d0": -1,
+        "aux_twist": 4,
+        "l": "Multivector({(): 1})",
+        "closed_form": 1,
+        "oracle": "ArithmeticError: Segre bookkeeping: g + N - k = 0, but v = 1",
+    }
+    assert dictionary["failures"] == 0
+    monkeypatch.setattr(invariants, "abelian_v", v_off_at(1))
+    report = checks.run_dictionary_grid(max_genus=1, max_n=1, max_deg=1)
+    assert report.failures > 0
+    case = report.first_counterexample
+    assert case["genus"] == 1 and set(case) == {"genus", "d", "n", "d0", "l", "error"}
+    assert case["error"].startswith("ArithmeticError: index dictionary: w_c = ")
+
+
 # -- invariant checks survive python -O --------------------------------------
 
 PACKAGE = Path(ruledinv.__file__).resolve().parent
@@ -422,10 +461,13 @@ def test_oracle_shares_no_code_with_the_kernel():
             names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
             imported.update(name.rpartition(".")[2] for name in names)
     assert not imported & {"invariants", "slant", "checks", "cli"}
-    assert "pair_theta_powers" not in source
-    # and the kernel does not reach the oracle's generic product and pairing
+    # it pairs through its own Pfaffian, not through exterior's pairing code
+    for name in ("pair_theta_powers", "wedge", "top_pairing", "theta_divided_power"):
+        assert name not in source
+    # and the kernel does not reach the oracle's Pfaffian or generic product
     kernel = inspect.getsource(exterior.pair_theta_powers)
-    for name in ("wedge", "top_pairing", "theta_divided_power", "_product", "merge_blades"):
+    oracle_only = ("pfaffian", "wedge", "top_pairing", "theta_divided_power", "_product")
+    for name in oracle_only + ("merge_blades",):
         assert name not in kernel
 
 

@@ -1,15 +1,23 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruledinv import picard
-from ruledinv.exterior import Multivector, SurfaceTopology, theta_class
+from ruledinv.exterior import (
+    Multivector,
+    SurfaceTopology,
+    exp_even,
+    theta_class,
+    theta_divided_power,
+    top_pairing,
+    wedge,
+)
 from ruledinv.indices import RuledSurfaceGeometry, abelian_v
 from ruledinv.invariants import ggw_abelian, sw_ruled
 from ruledinv.picard import (
@@ -20,6 +28,7 @@ from ruledinv.picard import (
     grr_pushforward,
     integrate_sigma,
     min_valid_aux_twist,
+    pfaffian,
     poincare_chern,
     segre_series,
 )
@@ -214,6 +223,77 @@ def test_segre_of_line_pushforward():
     )
 
 
+# -- the Pfaffian pairing ----------------------------------------------------
+
+
+def skew_rows(form, indices):
+    """Sparse skew rows of a 2-form's matrix, restricted to indices."""
+    rows = {i: {} for i in indices}
+    for (i, j), c in form.terms.items():
+        if i in rows and j in rows:
+            rows[i][j], rows[j][i] = c, -c
+    return rows
+
+
+def test_pfaffian_small_cases():
+    assert pfaffian({}) == 1
+    assert pfaffian({0: {}}) == 0  # odd size
+    assert pfaffian({3: {5: 7}, 5: {3: -7}}) == 7
+    # Pf = a01*a23 - a02*a13 + a03*a12, here with a01 = 0, so the first
+    # pivot is a02 and moving column 2 next to row 0 flips the sign
+    a = {(0, 2): 2, (1, 3): 3, (0, 3): 5, (1, 2): 7, (2, 3): 11}
+    assert pfaffian(skew_rows(Multivector(a), range(4))) == -2 * 3 + 5 * 7
+    assert pfaffian({0: {1: Fraction(1, 2)}, 1: {0: Fraction(-1, 2)}}) == Fraction(1, 2)
+
+
+def entries_above_the_diagonal(genus):
+    size = genus * (2 * genus - 1)
+    return st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda g: st.tuples(st.just(g), entries_above_the_diagonal(g))))
+@example((2, [0, 2, 5, 7, 3, 11]))
+def test_pfaffian_is_the_divided_power_coefficient(pair):
+    # omega^[k] = sum over |S| = 2k of Pf(omega_S) e_S: the Pfaffian of every
+    # principal minor, the whole matrix among them, is a coefficient of exp(omega)
+    genus, entries = pair
+    topo = SurfaceTopology(genus)
+    pairs = [(i, j) for i in range(topo.rank) for j in range(i + 1, topo.rank)]
+    omega = Multivector(dict(zip(pairs, entries)))
+    exp = exp_even(omega, topo)
+    assert pfaffian(skew_rows(omega, range(topo.rank))) == top_pairing(exp, topo)
+    for k in range(0, topo.rank + 1, 2):
+        for minor in combinations(range(topo.rank), k):
+            assert pfaffian(skew_rows(omega, minor)) == exp.coefficient(minor)
+
+
+@pytest.mark.parametrize("genus", range(5))
+def test_theta_pairing_matches_wedge_and_top_pairing(genus):
+    # every even blade, through the Pfaffian and through the generic algebra
+    topo = SurfaceTopology(genus)
+    for size in range(0, topo.rank + 1, 2):
+        for blade in combinations(range(topo.rank), size):
+            power = theta_divided_power(topo, genus - size // 2)
+            want = top_pairing(wedge(power, Multivector({blade: 1}), topo), topo)
+            assert picard._theta_pairing(genus, blade) == want
+
+
+def test_theta_pairing_refuses_a_fractional_pfaffian(monkeypatch):
+    monkeypatch.setattr(picard, "pfaffian", lambda rows: Fraction(1, 2))
+    with pytest.raises(ArithmeticError, match="^non-integral Pfaffian 1/2 on the complement"):
+        picard._theta_pairing.__wrapped__(1, ())
+
+
+def test_oracle_refuses_a_blade_past_the_genus():
+    t = min_valid_aux_twist(2, 2, -1, 1)
+    for blade in ((0, 5), (1, 2, 3, 7)):  # pairs with Theta^[1] and Theta^[0]
+        with pytest.raises(ValueError) as err:
+            ggw_via_segre(2, 2, -1, 1, t, Multivector({blade: 1}))
+        message = f"ggw_via_segre: generator index {blade[-1]} out of range for genus 2"
+        assert str(err.value) == message
+
+
 # -- the oracle count --------------------------------------------------------
 
 
@@ -383,3 +463,38 @@ def test_evaluate_matches_oracle_past_grid_genus(genus):
                 assert evaluate_abelian(nf, genus, r0, v) == want
                 nonzero += want != 0
     assert nonzero >= 80
+
+
+# -- the oracle at large genus -----------------------------------------------
+#
+# The Pfaffian pairing never builds Theta^[k], so the oracle reaches the
+# genera where the closed forms run: mid-grade handle blades, a
+# non-handle even blade and a dense form, each of which it must price
+# as the closed form does.
+
+
+@pytest.mark.parametrize("genus", [30, 64, 200])
+def test_oracle_matches_closed_form_at_large_genus(genus):
+    topo = SurfaceTopology(genus)
+    rng = random.Random(genus)
+    half = genus // 2
+    forms = [
+        handle_blade(topo, range(1, half + 1)),
+        handle_blade(topo, range(2, genus + 1, 2)),
+        # a1^b2 beside half - 1 whole handles: even and mid-grade, not a handle blade
+        handle_blade(topo, range(3, half + 2)) * Multivector.blade((topo.a(1), topo.b(2))),
+    ]
+    dense = {}
+    for _ in range(12):
+        handles = rng.sample(range(1, genus + 1), rng.randint(half - 2, half + 2))
+        dense.update((handle_blade(topo, handles) * rng.randrange(-(2**60), 2**60)).terms)
+        blade = tuple(sorted(rng.sample(range(topo.rank), genus + rng.randint(-1, 1))))
+        dense[blade] = rng.randrange(-(2**60), 2**60)
+    forms.append(Multivector(dense))
+    for r0, v in ((2, half), (3, genus)):
+        d0 = v - r0 - (r0 - 1) * (1 - genus)
+        assert abelian_v(r0, -1, d0, genus) == v
+        twist = min_valid_aux_twist(genus, r0, -1, d0)
+        values = [ggw_via_segre(genus, r0, -1, d0, twist, l) for l in forms]
+        assert values == [ggw_abelian(genus, r0, v, l) for l in forms]
+        assert values[0] == r0**half and values[2] == 0 and values[3] != 0
