@@ -23,7 +23,7 @@ import re
 import sys
 from functools import lru_cache
 from itertools import combinations, islice
-from operator import attrgetter
+from operator import attrgetter, eq, ge
 from string import ascii_letters
 
 __all__ = [
@@ -263,7 +263,7 @@ class Multivector(Combination):
             if not isinstance(coeff, int):
                 raise TypeError(f"coefficient {coeff!r} is not an int")
             blade = tuple(blade)
-            if any(blade[i] >= blade[i + 1] for i in range(len(blade) - 1)):
+            if any(map(ge, blade, blade[1:])):
                 raise ValueError(f"blade {blade} is not strictly increasing")
             if blade and blade[0] < 0:
                 raise ValueError(f"blade {blade} has a negative generator index")
@@ -285,15 +285,29 @@ class Multivector(Combination):
 
     @classmethod
     def blade(cls, indices, coeff: int = 1) -> "Multivector":
-        """Blade from possibly unsorted indices; zero on a repeated index."""
-        blade, sign = (), 1
-        for index in indices:
-            hit = merge_blades(blade, (index,))
-            if hit is None:
-                return cls.zero()
-            blade, s = hit
-            sign *= s
-        return cls({blade: sign * coeff})
+        """Blade from possibly unsorted indices; zero on a repeated index.
+
+        The sign is the parity of the permutation that sorts the indices,
+        as the generators anticommute.  One sort, then one pass over the
+        cycles of that permutation: O(m log m) for m indices, and sorted
+        input skips the pass.
+        """
+        indices = tuple(indices)
+        blade = tuple(sorted(indices))
+        if any(map(eq, blade, blade[1:])):
+            return cls.zero()
+        if blade == indices:
+            return cls({blade: coeff})
+        place = {index: n for n, index in enumerate(blade)}
+        perm = [place[index] for index in indices]
+        # each swap sends one entry to its place and flips the sign:
+        # m minus the number of cycles swaps in all
+        for n in range(len(perm)):
+            while perm[n] != n:
+                k = perm[n]
+                perm[n], perm[k] = perm[k], k
+                coeff = -coeff
+        return cls({blade: coeff})
 
     def coefficient(self, blade) -> int:
         return self.terms.get(tuple(blade), 0)

@@ -284,16 +284,12 @@ def pfaffian(rows) -> Fraction:
 
 @lru_cache(maxsize=4096)
 def _theta_pairing(genus: int, blade: tuple) -> int:
-    """<Theta^[k] ^ e_B, top> for the blade B of even grade 2g - 2k; B past 2g raises.
+    """<Theta^[k] ^ e_B, top> for the blade B of even grade 2g - 2k within the genus.
 
     eps(B^c, B) * Pf of Theta's matrix on the complement B^c, the matrix
     read from the grade-2 blades of theta_class.  Cached: a grid asks
     for the same few blades at every point.
     """
-    if blade and blade[-1] >= 2 * genus:
-        raise ValueError(
-            f"ggw_via_segre: generator index {blade[-1]} out of range for genus {genus}"
-        )
     inside = set(blade)
     rows = {i: {} for i in range(2 * genus) if i not in inside}
     for (i, j), c in theta_class(SurfaceTopology(genus)).terms.items():
@@ -317,8 +313,9 @@ def ggw_via_segre(
     identity (g + N) - k = v ties the Segre index to the closed form's
     truncation and is checked.  Each blade B of l pairs with
     Theta^[g - |B|/2] through the Pfaffian-minor expansion, as
-    eps(B^c, B) * Pf(Theta on B^c); a blade it pairs that lies past the
-    genus raises.
+    eps(B^c, B) * Pf(Theta on B^c).  v below zero leaves no Segre index
+    to pair, so the count is 0 unchecked; otherwise any blade of l past
+    the genus raises, whether or not it pairs, as in ggw_abelian.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -338,10 +335,16 @@ def ggw_via_segre(
     if genus + big_n - k != v:
         raise ArithmeticError(f"Segre bookkeeping: g + N - k = {genus + big_n - k}, but v = {v}")
 
+    if v < 0:
+        return 0
     series = _pushforward_segre(genus, r0, dprime)
     lowest = max(0, genus - v)
     total = 0  # Fraction terms keep it exact once one is added
     for blade, coeff in l.terms.items():
+        if blade and blade[-1] >= 2 * genus:
+            raise ValueError(
+                f"ggw_via_segre: generator index {blade[-1]} out of range for genus {genus}"
+            )
         # of the Segre indices lowest..g, only g - |B|/2 tops off against blade B
         idx, odd = divmod(2 * genus - len(blade), 2)
         if odd or idx < lowest:

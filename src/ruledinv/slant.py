@@ -385,8 +385,8 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
     The monomial u1^a times G[1,j1]...G[1,jm] maps to (r0*Theta)^i/i!,
     i = a+g-v, wedged with the odd blade B = e_{j1-1}...e_{jm-1}; it
     reaches the top grade only when 2i + |B| = 2g, that is 2(v-a) = |B|.
-    Those terms make one form l, paired in one kernel pass over the
-    powers 0..g.
+    Those terms' signed blades are summed in one dict into one form l,
+    paired in one kernel pass over the powers 0..g.
     """
     if nf.r != 1:
         raise NotImplementedError("evaluation is only defined for the rank-1 algebra")
@@ -395,9 +395,9 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
     topo = SurfaceTopology(genus)  # a negative genus raises here
     if r0 < 1:
         raise ValueError("target rank must be >= 1")
-    l = Multivector.zero().signed_sum(
-        (coeff, Multivector.blade([j - 1 for _, j in odd]))
-        for (u, _v, odd), coeff in nf.terms.items()
-        if 2 * (v - u[0]) == len(odd)
-    )
-    return pair_theta_powers(l, topo, r0, range(genus + 1))
+    terms = {}
+    for (u, _v, odd), coeff in nf.terms.items():
+        if 2 * (v - u[0]) == len(odd):
+            for blade, c in Multivector.blade([j - 1 for _, j in odd], coeff).terms.items():
+                terms[blade] = terms.get(blade, 0) + c
+    return pair_theta_powers(Multivector()._like(terms), topo, r0, range(genus + 1))

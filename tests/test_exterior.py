@@ -177,6 +177,26 @@ def _sorted_blade(indices, coeff):
     return Multivector({tuple(sorted(indices)): coeff * (-1) ** inversions})
 
 
+INDEX_LISTS = st.one_of(
+    st.lists(st.integers(0, 60), max_size=40),
+    st.lists(st.integers(0, 60), max_size=40, unique=True),
+    st.lists(st.integers(0, 60), max_size=40, unique=True).map(sorted),
+)
+
+
+@settings(max_examples=300)
+@given(INDEX_LISTS, st.integers(-3, 3), st.data())
+def test_blade_signs_by_the_sorting_permutation(indices, coeff, data):
+    assert Multivector.blade(indices, coeff) == _sorted_blade(indices, coeff)
+    bad = data.draw(st.permutations(indices + [data.draw(st.integers(-5, -1))]))
+    if len(set(bad)) < len(bad):
+        assert Multivector.blade(bad, coeff).is_zero()
+        return
+    for build in (Multivector.blade, _sorted_blade):
+        with pytest.raises(ValueError, match="has a negative generator index$"):
+            build(bad, coeff)
+
+
 # -- parsing and printing ----------------------------------------------------
 
 

@@ -286,12 +286,47 @@ def test_theta_pairing_refuses_a_fractional_pfaffian(monkeypatch):
 
 
 def test_oracle_refuses_a_blade_past_the_genus():
-    t = min_valid_aux_twist(2, 2, -1, 1)
-    for blade in ((0, 5), (1, 2, 3, 7)):  # pairs with Theta^[1] and Theta^[0]
+    # v = 2 pairs (0, 5) with Theta^[1] and (1, 2, 3, 7) with Theta^[0]; the
+    # odd blade pairs with nothing, and v = 0 pairs (0, 5) with nothing either
+    for (r0, d, d0), blade in (
+        ((2, -1, 1), (0, 5)),
+        ((2, -1, 1), (1, 2, 3, 7)),
+        ((2, -1, 1), (1, 2, 3, 4, 7)),
+        ((1, 0, 0), (0, 5)),
+    ):
+        t = min_valid_aux_twist(2, r0, d, d0)
         with pytest.raises(ValueError) as err:
-            ggw_via_segre(2, 2, -1, 1, t, Multivector({blade: 1}))
+            ggw_via_segre(2, r0, d, d0, t, Multivector({blade: 1}))
         message = f"ggw_via_segre: generator index {blade[-1]} out of range for genus 2"
         assert str(err.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.lists(st.tuples(st.sets(st.integers(0, 8), max_size=5), st.integers(-3, 3)), max_size=4),
+)
+def test_both_routes_refuse_or_agree_past_the_genus(genus, r0, d, d0, terms):
+    # blades reach index 8, past every genus drawn; v < 0 gives 0 unchecked
+    l = Multivector.zero()
+    for indices, coeff in terms:
+        l = l + Multivector({tuple(sorted(indices)): coeff})
+    v = abelian_v(r0, d, d0, genus)
+    outcomes = []
+    for route in (
+        lambda: ggw_abelian(genus, r0, v, l),
+        lambda: ggw_via_segre(genus, r0, d, d0, min_valid_aux_twist(genus, r0, d, d0), l),
+    ):
+        try:
+            outcomes.append(route())
+        except ValueError:
+            outcomes.append(ValueError)
+    assert outcomes[0] == outcomes[1]
+    past = l.max_index() >= 2 * genus
+    assert (outcomes[0] is ValueError) == (past and v >= 0)
 
 
 # -- the oracle count --------------------------------------------------------

@@ -518,6 +518,33 @@ def test_evaluate_validation():
         evaluate_abelian(NormalForm(1, -1), -1, 1, 0)
 
 
+def odd_term(genus, js, coeff=1, a=0):
+    # the public constructor keeps the odd part in the order given
+    return NormalForm(1, genus, {((a,), (), tuple((1, j) for j in js)): coeff})
+
+
+def test_evaluate_signs_an_unsorted_odd_part():
+    # G[1,j] anticommute: the sign is the parity of the sort of j1..jm
+    for js, v, want in (
+        ((2, 1), 1, -3),
+        ((4, 1, 2, 3), 2, -1),
+        ((2, 1, 4, 3), 2, 1),
+        ((3, 4, 1, 2), 2, 1),
+        ((2, 4, 1, 3), 2, -1),
+    ):
+        assert evaluate_abelian(odd_term(2, js), 2, 3, v) == want
+    nf = odd_term(2, (2, 1), 5) + odd_term(2, (4, 3), -2) + odd_term(2, (3, 1, 4, 2), 4, a=1)
+    assert evaluate_abelian(nf, 2, 3, 1) == -9
+
+
+@pytest.mark.parametrize("genus", [200, 1000])
+def test_evaluate_a_top_grade_term(genus):
+    js = list(range(1, 2 * genus + 1))
+    assert evaluate_abelian(odd_term(genus, js, 7), genus, 3, genus) == 7
+    js[0], js[1] = js[1], js[0]
+    assert evaluate_abelian(odd_term(genus, js, 7), genus, 3, genus) == -7
+
+
 def reference_evaluate(nf, genus, r0, v):
     # exterior's generic route, which the kernel never calls: wedge the
     # divided theta power with the term's odd blade and read the top grade
