@@ -105,12 +105,25 @@ class SlantSyntaxError(TextSyntaxError):
 
 
 class _Parser(TokenCursor):
+    """The recursive-descent reader of one text over one context.
+
+    Each distinct leaf text is read and validated once per parse: leaves
+    maps an int, u<i> or v<i> token, or the five tokens after a G as a
+    tuple, to the AST node read from it.  A printed normal form repeats
+    a few leaves over thousands of terms.  Only a leaf that passed every
+    check is stored, so a bad leaf is read afresh each time and fails
+    with the same message at the same position.  Sharing a node is safe,
+    as AST nodes are immutable tuples; the dict dies with the parser, so
+    a leaf is never accepted against another context.
+    """
+
     error = SlantSyntaxError
 
     def __init__(self, text: str, ctx: AlgebraContext):
         super().__init__(text)
         self.ctx = ctx
         self.depth = 0
+        self.leaves = {}
 
     def check_nesting(self, count, what):
         if count > MAX_NESTING:
@@ -124,52 +137,65 @@ class _Parser(TokenCursor):
 
     def term(self):
         """factor ('*' factor)*, factor := primary ('^' int)*; int, u, v and G read here."""
-        tokens, r, odd = self.tokens, self.ctx.r, 2 * self.ctx.genus
+        tokens, leaves = self.tokens, self.leaves
+        pos = self.pos
         factors = []
         while True:
-            pos = self.pos
             tok = tokens[pos]
-            first = tok[:1]
-            if first.isdecimal():
-                node = ("int", int(tok))
-                self.pos = pos + 1
+            node = leaves.get(tok)
+            if node is not None:
+                pos += 1
+            elif tok == "G":
+                # past the end the slice is short, so it is never a stored key
+                key = tuple(tokens[pos + 1 : pos + 6])
+                node = leaves.get(key)
+                if node is None:
+                    r, odd = self.ctx.r, 2 * self.ctx.genus
+                    if tokens[pos + 1] != "[":
+                        raise self.expected("'['", pos + 1)
+                    if not tokens[pos + 2][:1].isdecimal():
+                        raise self.expected("'int'", pos + 2)
+                    i = int(tokens[pos + 2])
+                    if not 1 <= i <= r:
+                        self.check_index("chern", i, r, pos + 2)
+                    if tokens[pos + 3] != ",":
+                        raise self.expected("','", pos + 3)
+                    if not tokens[pos + 4][:1].isdecimal():
+                        raise self.expected("'int'", pos + 4)
+                    j = int(tokens[pos + 4])
+                    if not 1 <= j <= odd:
+                        self.check_index("odd", j, odd, pos + 4)
+                    if tokens[pos + 5] != "]":
+                        raise self.expected("']'", pos + 5)
+                    node = leaves[key] = ("slant", (("c", i),), ("gamma", j))
+                pos += 6
+            elif (first := tok[:1]).isdecimal():
+                node = leaves[tok] = ("int", int(tok))
+                pos += 1
             elif (first == "u" or first == "v") and tok[1:].isdecimal():
                 i = int(tok[1:])
-                if not 1 <= i <= r:
-                    self.check_index("chern", i, r, pos)
-                node = ("slant", (("c", i),), ("pt",) if first == "u" else ("sigma",))
-                self.pos = pos + 1
-            elif tok == "G":
-                if tokens[pos + 1] != "[":
-                    raise self.expected("'['", pos + 1)
-                if not tokens[pos + 2][:1].isdecimal():
-                    raise self.expected("'int'", pos + 2)
-                i = int(tokens[pos + 2])
-                if not 1 <= i <= r:
-                    self.check_index("chern", i, r, pos + 2)
-                if tokens[pos + 3] != ",":
-                    raise self.expected("','", pos + 3)
-                if not tokens[pos + 4][:1].isdecimal():
-                    raise self.expected("'int'", pos + 4)
-                j = int(tokens[pos + 4])
-                if not 1 <= j <= odd:
-                    self.check_index("odd", j, odd, pos + 4)
-                if tokens[pos + 5] != "]":
-                    raise self.expected("']'", pos + 5)
-                node = ("slant", (("c", i),), ("gamma", j))
-                self.pos = pos + 6
+                if not 1 <= i <= self.ctx.r:
+                    self.check_index("chern", i, self.ctx.r, pos)
+                node = leaves[tok] = ("slant", (("c", i),), ("pt",) if first == "u" else ("sigma",))
+                pos += 1
             else:
+                self.pos = pos
                 node = self.primary()
-            powers = 0
-            while tokens[self.pos] == "^":
-                powers += 1
-                self.check_nesting(powers, "'^' in a row")
-                self.pos += 1
-                node = ("pow", node, self.take("int"))
+                pos = self.pos
+            if tokens[pos] == "^":
+                self.pos = pos
+                powers = 0
+                while tokens[self.pos] == "^":
+                    powers += 1
+                    self.check_nesting(powers, "'^' in a row")
+                    self.pos += 1
+                    node = ("pow", node, self.take("int"))
+                pos = self.pos
             factors.append(node)
-            if tokens[self.pos] != "*":
+            if tokens[pos] != "*":
+                self.pos = pos
                 return factors[0] if len(factors) == 1 else ("mul", tuple(factors))
-            self.pos += 1
+            pos += 1
 
     def primary(self):
         tok = self.tokens[self.pos]
@@ -271,10 +297,14 @@ class NormalForm(Combination):
     @staticmethod
     def merge_monomials(m1, m2):
         (u1, v1, o1), (u2, v2, o2) = m1, m2
-        hit = merge_blades(o1, o2)
-        if hit is None:
-            return None
-        odd, sign = hit
+        if o1 and o2:
+            hit = merge_blades(o1, o2)
+            if hit is None:
+                return None
+            odd, sign = hit
+        else:
+            # merge_blades returns the other part as it is, unsorted too
+            odd, sign = o1 or o2, 1
         return (tuple(map(add, u1, u2)), tuple(map(add, v1, v2)), odd), sign
 
     def monomial_degree(self, key) -> int:
@@ -302,12 +332,15 @@ def _reduce_slant(cup, base, ctx: AlgebraContext) -> NormalForm:
         scale, base = ctx.k0_eval[name], ("pt",)
     chern = [atom[1] for atom in cup if atom[0] == "c"]
     no_v = (0,) * (ctx.r - 1)
+    every = [0] * ctx.r
+    for i in chern:
+        every[i - 1] += 1
 
     def u(*drop):
         # exponents of the u_i from the atoms not at the positions in drop
-        exps = [0] * ctx.r
-        for m, i in enumerate(chern):
-            exps[i - 1] += m not in drop
+        exps = every.copy()
+        for m in drop:
+            exps[chern[m] - 1] -= 1
         return tuple(exps)
 
     if base[0] == "pt":
@@ -369,13 +402,25 @@ def normalize(expr, ctx: AlgebraContext) -> NormalForm:
 
 
 def print_normal(nf: NormalForm) -> str:
-    """Canonical text form; parse_expr of the output normalizes back to nf."""
+    """Canonical text form; parse_expr of the output normalizes back to nf.
+
+    Terms come in items() order, each body its u, v and G factors joined
+    by '*'.  The u/v text of each distinct (u, v) pair is built once per
+    call, as many terms share it and differ in their odd part only; a
+    string is immutable, so sharing it changes no byte of the output.
+    """
+    even = {}
     terms = []
     for (u, v, odd), coeff in nf.items():
-        parts = [f"u{i}^{e}" if e > 1 else f"u{i}" for i, e in enumerate(u, 1) if e]
-        parts += [f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in enumerate(v, 2) if e]
-        parts += [f"G[{i},{j}]" for i, j in odd]
-        terms.append(("*".join(parts), coeff))
+        body = even.get((u, v))
+        if body is None:
+            parts = [f"u{i}^{e}" if e > 1 else f"u{i}" for i, e in enumerate(u, 1) if e]
+            parts += [f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in enumerate(v, 2) if e]
+            body = even[u, v] = "*".join(parts)
+        if odd:
+            g = "*".join([f"G[{i},{j}]" for i, j in odd])
+            body = f"{body}*{g}" if body else g
+        terms.append((body, coeff))
     return format_terms(terms)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from ruledinv.invariants import ggw_abelian
 from ruledinv.exterior import (
     Multivector,
     SurfaceTopology,
+    format_terms,
     theta_divided_power,
     top_pairing,
     wedge,
@@ -156,6 +158,45 @@ def test_parse_golden_replays():
         except SlantSyntaxError as err:
             got = str(err)
         assert got == expected, (r, genus, text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("u1*G", "expected '[', found end of input at position 4"),
+        ("u1*G[", "expected 'int', found end of input at position 5"),
+        ("G[1,2", "expected ']', found end of input at position 5"),
+        ("G[1,2]*G[1", "expected ',', found end of input at position 10"),
+        ("G[1,2]*G[1,", "expected 'int', found end of input at position 11"),
+        ("G[1,2]*G[1,2", "expected ']', found end of input at position 12"),
+        ("G[1,2]*G[1,5]", "odd index 5 out of range 1..4 at position 11"),
+        ("u1*u2*u1*u3", "chern index 3 out of range 1..2 at position 9"),
+    ],
+)
+def test_a_leaf_cut_short_reaches_the_end_of_input(text, message):
+    # a G whose five tokens run past the end is read against the end-of-input
+    # sentinel, never indexed past it, after the same leaves have parsed whole
+    with pytest.raises(SlantSyntaxError) as err:
+        parse_expr(text, CTX22)
+    assert str(err.value) == message
+
+
+def test_a_repeated_leaf_parses_to_equal_nodes():
+    node = ("slant", (("c", 2),), ("gamma", 1))
+    assert parse_expr("*".join(["G[2,1]"] * 50), CTX22) == ("mul", (node,) * 50)
+    assert parse_expr("u2*7*u2*G[2, 1]*7*G[2,1]", CTX22) == parse_expr("u2*7*u2*G[2,1]*7*G[2,1]", CTX22)
+
+
+def test_a_leaf_accepted_at_one_rank_is_refused_at_a_lower_one():
+    # leaves are validated once per parse, not once per process
+    wide, narrow = AlgebraContext(r=3, genus=1), AlgebraContext(r=1, genus=1)
+    for text, position in (("u3", 0), ("v3", 0), ("G[3,1]", 2)):
+        parse_expr(f"{text}*{text}", wide)
+        with pytest.raises(SlantSyntaxError, match=f"chern index 3 out of range 1..1 at position {position}$"):
+            parse_expr(text, narrow)
+    parse_expr("G[1,2]", wide)
+    with pytest.raises(SlantSyntaxError, match="odd index 2 out of range 1..0 at position 4$"):
+        parse_expr("G[1,2]", AlgebraContext(r=1, genus=0))
 
 
 # -- normal forms ------------------------------------------------------------
@@ -439,6 +480,73 @@ def test_product_associativity_fuzz():
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         assert x * 3 == 3 * x and (x * 0).is_zero()
+
+
+def constructor_form(rng, ctx, sort):
+    """A form over ctx from the public constructor: scalar-only, pure-odd
+    and mixed terms, each odd part in drawn order unless sort."""
+    gens = [(i, j) for i in range(1, ctx.r + 1) for j in range(1, 2 * ctx.genus + 1)]
+    most = min(4, len(gens))
+    terms = {}
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.choice(["scalar", "odd", "mixed"] if gens else ["scalar", "mixed"])
+        even = kind == "mixed"
+        u = tuple(rng.randint(0, 3) if even else 0 for _ in range(ctx.r))
+        v = tuple(rng.randint(0, 2) if even else 0 for _ in range(ctx.r - 1))
+        odd = [] if kind == "scalar" else rng.sample(gens, rng.randint(kind == "odd", most))
+        coeff = rng.choice([1, -1, rng.randint(-(10**30), 10**30)])
+        terms[u, v, tuple(sorted(odd) if sort else odd)] = coeff
+    return NormalForm(ctx.r, ctx.genus, terms)
+
+
+def reference_print(nf):
+    # the term-by-term join: every term's body built afresh from its factors
+    terms = []
+    for (u, v, odd), coeff in nf.items():
+        parts = [f"u{i}^{e}" if e > 1 else f"u{i}" for i, e in enumerate(u, 1) if e]
+        parts += [f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in enumerate(v, 2) if e]
+        parts += [f"G[{i},{j}]" for i, j in odd]
+        terms.append(("*".join(parts), coeff))
+    return format_terms(terms)
+
+
+def test_print_matches_the_term_by_term_join():
+    rng = random.Random(2210)
+    for _ in range(300):
+        ctx = random_context(rng)
+        nf = constructor_form(rng, ctx, sort=False)
+        assert print_normal(nf) == reference_print(nf)
+    for _, nf in _fuzz_pairs(200, seed=2211):
+        assert print_normal(nf) == reference_print(nf)
+
+
+def reference_product(x, y):
+    # every pair of terms merged through its concatenated odd part, sorted and
+    # signed by its inversion count, zero on a repeated generator; this never
+    # calls merge_monomials, so never its shortcut for an empty odd part
+    terms = {}
+    for (u1, v1, o1), c1 in x.terms.items():
+        for (u2, v2, o2), c2 in y.terms.items():
+            odd = o1 + o2
+            if len(set(odd)) < len(odd):
+                continue
+            sign = (-1) ** sum(a > b for a, b in combinations(odd, 2))
+            key = (tuple(map(sum, zip(u1, u2))), tuple(map(sum, zip(v1, v2))), tuple(sorted(odd)))
+            terms[key] = terms.get(key, 0) + sign * c1 * c2
+    return NormalForm(x.r, x.genus, terms)
+
+
+def test_product_matches_the_sorted_merge():
+    rng = random.Random(2212)
+    for _ in range(300):
+        ctx = random_context(rng)
+        x, y = constructor_form(rng, ctx, sort=True), constructor_form(rng, ctx, sort=True)
+        assert x * y == reference_product(x, y)
+        x, y = norm(random_expr(rng, ctx), ctx), norm(random_expr(rng, ctx), ctx)
+        assert x * y == reference_product(x, y)
+        # an odd part times an empty one comes back as it was, unsorted too
+        nf, one = constructor_form(rng, ctx, sort=False), NormalForm.scalar(ctx, 1)
+        assert nf * one == nf == one * nf
 
 
 def test_slant_degree_bookkeeping():
