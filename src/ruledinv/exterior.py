@@ -142,20 +142,20 @@ def merge_blades(x: tuple, y: tuple):
 class Combination(Record):
     """Sparse exact combination of monomials, with its arithmetic.
 
-    terms maps monomials to nonzero coefficients: ints, except the exact
-    Fractions of picard.ThetaSeries.  Immutable by convention: no method
-    mutates, operators return fresh instances.  A subclass's own
-    __slots__ are its shape, what two operands must share, read through
-    Record's _fields (None for a subclass with no slots).  It supplies
-    two hooks:
+    terms maps monomials to nonzero int coefficients.  Immutable by
+    convention: no method mutates, operators return fresh instances.  A
+    subclass's own __slots__ are its shape, what two operands must
+    share, read through Record's _fields (None for a subclass with no
+    slots).  It supplies two hooks:
 
     - monomial_degree(m), the degree of one monomial;
     - merge_monomials(m1, m2), the product of two monomials as
-      (monomial, sign), or None when it vanishes.
+      (monomial, multiplier), or None when it vanishes: a sign for
+      blades, a binomial for theta's divided powers.
 
-    x * n scales by an int n (a ThetaSeries also by a Fraction).  x * y,
-    for y of x's type and shape, is the bilinear product: each pair of
-    terms multiplies through merge_monomials.  Any other operand is a
+    x * n scales by an int n, and exact_div divides by one.  x * y, for
+    y of x's type and shape, is the bilinear product: each pair of terms
+    multiplies through merge_monomials.  Any other operand is a
     TypeError.
 
     Public constructors and parsers validate; everything computed from
@@ -207,8 +207,8 @@ class Combination(Record):
                 hit = merge(m1, m2)
                 if hit is None:
                     continue
-                m, sign = hit
-                terms[m] = terms.get(m, 0) + sign * c1 * c2
+                m, factor = hit
+                terms[m] = terms.get(m, 0) + factor * c1 * c2
         return self._like(terms)
 
     def __mul__(self, other):
@@ -220,6 +220,13 @@ class Combination(Record):
         return self._product(other)
 
     __rmul__ = __mul__
+
+    def exact_div(self, k: int, who: str):
+        """Every coefficient divided by k; ArithmeticError, naming who, if one is not divisible."""
+        for m, c in self.terms.items():
+            if c % k:
+                raise ArithmeticError(f"{who}: coefficient {c} on {m} not divisible by {k}")
+        return self._like({m: c // k for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -382,18 +389,10 @@ def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
     k = 0
     while True:
         k += 1
-        raw = wedge(power, x, topo)
-        if raw.is_zero():
+        power = wedge(power, x, topo)
+        if power.is_zero():
             break
-        terms = {}
-        for blade, coeff in raw.terms.items():
-            q, r = divmod(coeff, k)
-            if r:
-                raise ArithmeticError(
-                    f"exp_even: coefficient {coeff} on {blade} not divisible by {k}"
-                )
-            terms[blade] = q
-        power = raw._like(terms)
+        power = power.exact_div(k, "exp_even")
         result = result + power
     return result
 

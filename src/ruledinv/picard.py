@@ -7,10 +7,10 @@ series, and pair the right Segre coefficient against the orientation
 blade under the standard identification of the Picard cohomology with
 the exterior algebra (theta goes to Theta).
 
-The series in theta are combinations on exterior's shared core, with
-exact rational coefficients; the count sums their pairings exactly and
-returns the total as an int, or raises ArithmeticError if it is not
-integral.
+The series in theta are combinations on exterior's shared core in the
+divided-power basis theta^[k] = theta^k/k!, where every coefficient of
+the character, the Chern class and the Segre series is an int; the
+count sums their pairings as ints.
 
 A blade B pairs with the divided power Theta^[k] through the
 Pfaffian-minor expansion (Ishikawa-Wakayama, "Minor summation formula of
@@ -24,7 +24,8 @@ Theta^[k] and its C(g, k) blades.
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, perm
+from operator import add
 
 from .exterior import Combination, Multivector, Record, SurfaceTopology
 from .exterior import merge_blades, theta_class
@@ -46,17 +47,22 @@ __all__ = [
 class ThetaSeries(Combination):
     """Polynomial in the degree-2 class theta, truncated past theta^genus.
 
-    A combination on exterior's shared core whose monomials are the
-    powers 0..genus of theta, with exact Fraction coefficients.
-    merge_monomials adds powers and drops a product past theta^genus, as
-    a repeated generator vanishes in a blade; the genus is the shape two
-    operands must share.  Indexing past the genus reads 0.
+    A combination on exterior's shared core whose monomial k is the
+    divided power theta^[k] = theta^k/k!, for k in 0..genus, with int
+    coefficients.  theta^[i] * theta^[j] = C(i + j, i) * theta^[i + j],
+    so merge_monomials returns that binomial and drops a product past
+    theta^genus, as a repeated generator vanishes in a blade; the genus
+    is the shape two operands must share.  Indexing past the genus
+    reads 0.
     """
 
     __slots__ = ("genus",)
 
     def __init__(self, coeffs, genus=None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r} is not an int")
         if genus is not None and genus < 0:
             raise ValueError("genus must be nonnegative")
         self.genus = len(coeffs) - 1 if genus is None else genus
@@ -65,7 +71,7 @@ class ThetaSeries(Combination):
         self.terms = {i: c for i, c in enumerate(coeffs[: self.genus + 1]) if c}
 
     def merge_monomials(self, i, j):
-        return (i + j, 1) if i + j <= self.genus else None
+        return (i + j, comb(i + j, i)) if i + j <= self.genus else None
 
     @staticmethod
     def monomial_degree(i):
@@ -85,29 +91,31 @@ class ThetaSeries(Combination):
             raise IndexError(i)
         return self.terms.get(i, 0)
 
-    def __mul__(self, other):
-        if isinstance(other, Fraction):
-            return self._like({i: c * other for i, c in self.terms.items()})
-        return Combination.__mul__(self, other)
-
-    __rmul__ = __mul__
-
     def shift(self) -> "ThetaSeries":
-        """Multiply by theta."""
-        return self._like({i + 1: c for i, c in self.terms.items() if i < self.genus})
+        """Multiply by theta: theta * theta^[i] = (i + 1) * theta^[i + 1]."""
+        return self._like({i + 1: (i + 1) * c for i, c in self.terms.items() if i < self.genus})
 
     def inverse(self) -> "ThetaSeries":
-        """Multiplicative inverse; the leading term must be nonzero."""
-        if not self[0]:
-            raise ValueError("leading term 0 is not invertible")
-        lead = 1 / self[0]
-        out = {0: lead}
+        """Multiplicative inverse; the leading term must be 1 or -1.
+
+        S_k = -S_0 * sum_{i >= 1} C(k, i) * E_i * S_{k-i} for the series
+        E, with S_0 = 1/E_0 = E_0; row is Pascal's row k.
+        """
+        lead = self[0]
+        if lead not in (1, -1):
+            raise ValueError(f"leading term {lead} is not invertible over the integers")
+        terms = [(i, c) for i, c in self.terms.items() if i]
+        out = [lead]
+        row = [1]
         for k in range(1, self.genus + 1):
-            out[k] = -lead * sum(c * out[k - i] for i, c in self.terms.items() if 0 < i <= k)
-        return self._like(out)
+            row = [1, *map(add, row, row[1:]), 1]
+            out.append(-lead * sum(row[i] * c * out[k - i] for i, c in terms if i <= k))
+        return self._like(dict(enumerate(out)))
 
     def __repr__(self):
-        return f"ThetaSeries({[str(c) for c in self.coeffs]})"
+        # the theta^k coefficients: c/k! for the coefficient c of theta^[k]
+        plain = [str(Fraction(c, factorial(k))) for k, c in enumerate(self.coeffs)]
+        return f"ThetaSeries({plain})"
 
 
 class KunnethClass(Record):
@@ -139,21 +147,15 @@ class KunnethClass(Record):
         )
 
     def __mul__(self, other):
-        if isinstance(other, KunnethClass):
-            return KunnethClass(
-                self.one * other.one,
-                self.one * other.gamma_part + self.gamma_part * other.one,
-                self.one * other.eta_part
-                + self.eta_part * other.one
-                - 2 * (self.gamma_part * other.gamma_part).shift(),
-            )
-        if isinstance(other, (int, Fraction)):
-            return KunnethClass(
-                self.one * other, self.gamma_part * other, self.eta_part * other
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
+        if not isinstance(other, KunnethClass):
+            return NotImplemented
+        return KunnethClass(
+            self.one * other.one,
+            self.one * other.gamma_part + self.gamma_part * other.one,
+            self.one * other.eta_part
+            + self.eta_part * other.one
+            - 2 * (self.gamma_part * other.gamma_part).shift(),
+        )
 
     def is_zero(self) -> bool:
         return self.one.is_zero() and self.gamma_part.is_zero() and self.eta_part.is_zero()
@@ -164,7 +166,8 @@ def poincare_chern(dprime: int, genus: int) -> KunnethClass:
 
     Computed as the exponential of the first Chern class d'*eta + gamma;
     the square of that class is -2*theta*eta and the cube vanishes, so
-    the loop stops on its own.  A negative genus raises in ThetaSeries.
+    the loop stops on its own.  Each division by k must come out exact,
+    as in exp_even.  A negative genus raises in ThetaSeries.
     """
     zero = ThetaSeries.constant(0, genus)
     c1 = KunnethClass(zero, ThetaSeries.constant(1, genus), ThetaSeries.constant(dprime, genus))
@@ -173,9 +176,11 @@ def poincare_chern(dprime: int, genus: int) -> KunnethClass:
     k = 0
     while True:
         k += 1
-        power = power * c1 * Fraction(1, k)
+        power = power * c1
         if power.is_zero():
             return result
+        parts = (power.one, power.gamma_part, power.eta_part)
+        power = KunnethClass(*(s.exact_div(k, "poincare_chern") for s in parts))
         result = result + power
 
 
@@ -204,21 +209,16 @@ def grr_pushforward(dprime: int, r0: int, genus: int) -> ThetaSeries:
 def chern_series(ch: ThetaSeries) -> ThetaSeries:
     """Total Chern class from a Chern character, by Newton's identities.
 
-    Power sums are i! times the character coefficients; the recurrence
-    k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i rebuilds the elementary
-    symmetric side.  The rank term must be an integer.
+    The character's theta^[i] coefficient is the power sum p_i = i! ch_i.
+    With E_k = k! e_k, the recurrence k*e_k = sum_{i=1..k} (-1)^(i-1)
+    e_{k-i} p_i reads E_k = sum_i (-1)^(i-1) perm(k-1, i-1) E_{k-i} p_i,
+    summed over the character's terms alone.
     """
-    if ch[0].denominator != 1:
-        raise ValueError(f"rank term {ch[0]} is not an integer")
-    g = ch.genus
-    p = [factorial(i) * ch[i] for i in range(g + 1)]
-    e = [Fraction(1)]
-    for k in range(1, g + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * p[i]
-        e.append(acc / k)
-    return ThetaSeries(e)
+    powers = [(i, (-1) ** (i - 1) * p) for i, p in ch.terms.items() if i]
+    e = [1]
+    for k in range(1, ch.genus + 1):
+        e.append(sum(perm(k - 1, i - 1) * p * e[k - i] for i, p in powers if i <= k))
+    return ch._like(dict(enumerate(e)))
 
 
 def segre_series(ch: ThetaSeries) -> ThetaSeries:
@@ -339,7 +339,7 @@ def ggw_via_segre(
         return 0
     series = _pushforward_segre(genus, r0, dprime)
     lowest = max(0, genus - v)
-    total = 0  # Fraction terms keep it exact once one is added
+    total = 0
     for blade, coeff in l.terms.items():
         if blade and blade[-1] >= 2 * genus:
             raise ValueError(
@@ -351,7 +351,5 @@ def ggw_via_segre(
             continue
         pairing = _theta_pairing(genus, blade)
         if pairing:
-            total += coeff * series[idx] * factorial(idx) * pairing
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integral count {total}")
-    return int(total)
+            total += coeff * series[idx] * pairing
+    return total

@@ -41,6 +41,20 @@ def series(*coeffs, genus=None):
     return ThetaSeries(coeffs, genus)
 
 
+def plain(coeffs):
+    """theta^k coefficients of divided-power coefficients: c_k / k!."""
+    return [Fraction(c, factorial(k)) for k, c in enumerate(coeffs)]
+
+
+def plain_product(factors, genus):
+    """Cauchy product of theta^k coefficient lists, dropping powers past theta^genus."""
+    out = [1] + [0] * genus
+    for f in factors:
+        f = (list(f) + [0] * genus)[: genus + 1]
+        out = [sum(out[i] * f[k - i] for i in range(k + 1)) for k in range(genus + 1)]
+    return out
+
+
 # -- truncated polynomial ring -----------------------------------------------
 
 
@@ -60,42 +74,53 @@ def test_series_construction_and_indexing():
 
 
 def test_series_ring_ops():
+    # coefficients are on the divided powers theta^[k] = theta^k/k!
     a = series(1, 2, genus=2)
     b = series(0, 1, 1, genus=2)
     assert (a + b).coeffs == (1, 3, 1)
     assert (a - b).coeffs == (1, 1, -1)
     assert (-a).coeffs == (-1, -2, 0)
-    assert (a * b).coeffs == (0, 1, 3)  # theta^3 truncated away
+    # (1 + 2 theta)(theta + theta^[2]) = theta + (1 + 2*2) theta^[2]; theta^3 truncated away
+    assert (a * b).coeffs == (0, 1, 5)
     assert (3 * a).coeffs == (3, 6, 0)
-    assert a.shift().coeffs == (0, 1, 2)
+    assert a.shift().coeffs == (0, 1, 4)  # theta + 2 theta^2 = theta + 4 theta^[2]
     with pytest.raises(ValueError):
         a + series(1, genus=4)
+    with pytest.raises(TypeError, match=r"^coefficient Fraction\(1, 2\) is not an int$"):
+        series(1, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        a * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * a
 
 
-small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+small_ints = st.integers(-8, 8) | st.integers(-(2**70), 2**70)
 
 
 @settings(max_examples=150)
 @given(
     st.integers(0, 6),
-    st.lists(small_fractions, min_size=1, max_size=8),
-    st.lists(small_fractions, min_size=1, max_size=8),
+    st.lists(small_ints, min_size=1, max_size=8),
+    st.lists(small_ints, min_size=1, max_size=8),
     st.integers(-5, 5),
-    small_fractions,
+    st.fractions(min_value=-8, max_value=8, max_denominator=6),
 )
 def test_series_ring_matches_dense_reference(genus, xs, ys, n, q):
+    # the reference works on theta^k coefficients and never calls merge_monomials
     a, b = ThetaSeries(xs, genus), ThetaSeries(ys, genus)
-    x = (xs + [0] * genus)[: genus + 1]
-    y = (ys + [0] * genus)[: genus + 1]
-    # the Cauchy product, dropping every power past theta^genus
-    cauchy = [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(genus + 1)]
-    assert (a * b).coeffs == tuple(cauchy)
-    assert (a + b).coeffs == tuple(s + t for s, t in zip(x, y))
-    assert (a - b).coeffs == tuple(s - t for s, t in zip(x, y))
-    assert (-a).coeffs == tuple(-s for s in x)
-    assert (n * a).coeffs == (a * n).coeffs == tuple(n * s for s in x)
-    assert (a * q).coeffs == (q * a).coeffs == tuple(q * s for s in x)
-    assert a.shift().coeffs == tuple([0] + x[:genus])
+    x = plain((xs + [0] * genus)[: genus + 1])
+    y = plain((ys + [0] * genus)[: genus + 1])
+    assert plain((a * b).coeffs) == plain_product([x, y], genus)
+    assert plain((a + b).coeffs) == [s + t for s, t in zip(x, y)]
+    assert plain((a - b).coeffs) == [s - t for s, t in zip(x, y)]
+    assert plain((-a).coeffs) == [-s for s in x]
+    assert plain((n * a).coeffs) == plain((a * n).coeffs) == [n * s for s in x]
+    assert plain(a.shift().coeffs) == [0] + x[:genus]
+    assert all(type(c) is int for c in (a * b).coeffs + a.shift().coeffs)
+    # a Fraction scales nothing, even a whole one
+    for op in (lambda: a * q, lambda: q * a):
+        with pytest.raises(TypeError):
+            op()
 
 
 @pytest.mark.parametrize("op", [add, sub, mul])
@@ -108,24 +133,30 @@ def test_series_of_mixed_genus_do_not_combine(op):
 
 
 def test_series_inverse():
-    s = series(1, -1, Fraction(1, 2), genus=2)
-    assert s.inverse().coeffs == (1, 1, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        series(0, 1, genus=1).inverse()
+    # 1 - theta + theta^2/2 inverts to 1 + theta + theta^2/2: e^-theta and e^theta
+    s = series(1, -1, 1, genus=2)
+    assert s.inverse().coeffs == (1, 1, 1)
+    # 1/(-1 + 2 theta) = -1 - 2 theta - 4 theta^2
+    assert series(-1, 2, genus=2).inverse().coeffs == (-1, -2, -8)
+    for lead in (0, 2, -3):
+        with pytest.raises(ValueError, match=f"^leading term {lead} is not invertible"):
+            series(lead, 1, genus=1).inverse()
 
 
 @settings(max_examples=150)
 @given(
     st.integers(0, 5),
-    st.lists(st.fractions(max_denominator=6), min_size=1, max_size=6),
+    st.sampled_from((1, -1)),
+    st.lists(small_ints, max_size=6),
 )
-def test_series_inverse_is_two_sided(genus, coeffs):
-    if not coeffs[0]:
-        coeffs[0] = Fraction(1)
-    s = ThetaSeries(coeffs, genus)
+def test_series_inverse_is_two_sided(genus, lead, rest):
+    s = ThetaSeries([lead] + rest, genus)
+    inv = s.inverse()
     one = ThetaSeries.constant(1, genus)
-    assert s * s.inverse() == one
-    assert s.inverse() * s == one
+    assert s * inv == one
+    assert inv * s == one
+    # and on theta^k coefficients, against the plain Cauchy product
+    assert plain_product([plain(s.coeffs), plain(inv.coeffs)], genus) == plain(one.coeffs)
 
 
 # -- two-factor ring with the odd square rule --------------------------------
@@ -196,19 +227,30 @@ def test_grr_rank_term_is_scaled_euler_char(dprime, r0, genus):
 
 
 def test_chern_series_rejects_fractional_rank():
-    with pytest.raises(ValueError):
+    # a character with a fractional rank term cannot be stated: the series
+    # refuses it, so Newton's identities only ever see ints
+    with pytest.raises(TypeError, match=r"^coefficient Fraction\(1, 2\) is not an int$"):
         chern_series(series(Fraction(1, 2), 1, genus=1))
+    with pytest.raises(TypeError, match=r"^coefficient 0.5 is not an int$"):
+        chern_series(series(0.5, 1, genus=1))
+    # the rank term itself never enters the total class
+    assert chern_series(series(7, -1, genus=2)) == chern_series(series(-3, -1, genus=2))
 
 
 @settings(max_examples=100)
 @given(st.integers(0, 5), st.lists(st.integers(-4, 4), min_size=1, max_size=5))
 def test_chern_series_on_split_characters(genus, roots):
-    # ch of a sum of line pieces exp(x*theta) = sum_k x^k theta^k / k! must
-    # produce the factored total class prod(1 + x*theta); checks Newton's
-    # identities head-on.
+    # ch of a sum of line pieces exp(x*theta) = sum_k x^k theta^[k] must
+    # produce the factored total class prod(1 + x*theta), and the Segre
+    # series prod(1/(1 + x*theta)); checks Newton's identities head-on
+    # against theta^k coefficients that never go through merge_monomials.
     ch = ThetaSeries.constant(0, genus)
     for x in roots:
-        ch = ch + ThetaSeries([Fraction(x**k, factorial(k)) for k in range(genus + 1)], genus)
+        ch = ch + ThetaSeries([x**k for k in range(genus + 1)], genus)
+    chern = plain_product([[1, x] for x in roots], genus)
+    segre = plain_product([[(-x) ** k for k in range(genus + 1)] for x in roots], genus)
+    assert plain(chern_series(ch).coeffs) == chern
+    assert plain(segre_series(ch).coeffs) == segre
     expected = ThetaSeries.constant(1, genus)
     for x in roots:
         expected = expected * ThetaSeries([1, x], genus)
@@ -217,10 +259,40 @@ def test_chern_series_on_split_characters(genus, roots):
 
 
 def test_segre_of_line_pushforward():
-    # chern is 1 - theta + theta^2/2 regardless of the twist; invert
-    assert segre_series(grr_pushforward(-5, 1, 2)) == series(
-        1, 1, Fraction(1, 2), genus=2
-    )
+    # chern is 1 - theta + theta^2/2 = sum (-1)^k theta^[k] regardless of
+    # the twist; its inverse is 1 + theta + theta^2/2 = sum theta^[k]
+    pushed = grr_pushforward(-5, 1, 2)
+    assert chern_series(pushed) == series(1, -1, 1, genus=2)
+    assert segre_series(pushed) == series(1, 1, 1, genus=2)
+    assert repr(segre_series(pushed)) == "ThetaSeries(['1', '1', '1/2'])"
+
+
+@pytest.mark.parametrize("genera", [range(61), [400]], ids=["genus<=60", "genus=400"])
+def test_pushforward_classes_are_the_picard_bundle_exponentials(genera):
+    # c = e^(-r0 theta) and s = e^(r0 theta) (Arbarello-Cornalba-Griffiths-Harris,
+    # Geometry of Algebraic Curves I): E_k = (-r0)^k and S_k = r0^k on theta^[k],
+    # whatever the twist; the oracle derives them, the test pins them
+    for genus, r0 in product(genera, (1, 2, 3)):
+        for dprime in (-1, -2 * genus - 5):
+            pushed = grr_pushforward(dprime, r0, genus)
+            assert chern_series(pushed).coeffs == tuple((-r0) ** k for k in range(genus + 1))
+            assert segre_series(pushed).coeffs == tuple(r0**k for k in range(genus + 1))
+
+
+def test_series_repr_prints_theta_power_coefficients():
+    assert repr(ThetaSeries([1, 2, 2])) == "ThetaSeries(['1', '2', '1'])"
+    assert repr(ThetaSeries([0, 0, 0, -3], 4)) == "ThetaSeries(['0', '0', '0', '-1/2', '0'])"
+
+
+def test_exact_div_divides_or_names_the_coefficient():
+    assert ThetaSeries([4, -6, 0, 2]).exact_div(2, "who") == ThetaSeries([2, -3, 0, 1])
+    x = Multivector({(0, 1): 6, (): -9})
+    assert x.exact_div(3, "who") == Multivector({(0, 1): 2, (): -3})
+    with pytest.raises(ArithmeticError, match=r"^who: coefficient 7 on 1 not divisible by 2$"):
+        ThetaSeries([4, 7]).exact_div(2, "who")
+    message = r"^exp_even: coefficient -9 on \(\) not divisible by 2$"
+    with pytest.raises(ArithmeticError, match=message):
+        x.exact_div(2, "exp_even")
 
 
 # -- the Pfaffian pairing ----------------------------------------------------
@@ -533,3 +605,15 @@ def test_oracle_matches_closed_form_at_large_genus(genus):
         values = [ggw_via_segre(genus, r0, -1, d0, twist, l) for l in forms]
         assert values == [ggw_abelian(genus, r0, v, l) for l in forms]
         assert values[0] == r0**half and values[2] == 0 and values[3] != 0
+
+
+def test_oracle_matches_closed_form_on_a_half_handle_blade_at_genus_400():
+    genus, r0 = 400, 2
+    topo = SurfaceTopology(genus)
+    l = handle_blade(topo, range(1, genus // 2 + 1))
+    d0 = genus // 2 - r0 - (r0 - 1) * (1 - genus)
+    v = abelian_v(r0, -1, d0, genus)
+    assert v == genus // 2
+    twist = min_valid_aux_twist(genus, r0, -1, d0)
+    value = ggw_via_segre(genus, r0, -1, d0, twist, l)
+    assert value == ggw_abelian(genus, r0, v, l) == r0 ** (genus // 2)
