@@ -94,14 +94,14 @@ def test_series_ring_ops():
         Fraction(1, 2) * a
 
 
-small_ints = st.integers(-8, 8) | st.integers(-(2**70), 2**70)
+int_coeffs = st.integers(-8, 8) | st.integers(-(2**70), 2**70)
 
 
 @settings(max_examples=150)
 @given(
     st.integers(0, 6),
-    st.lists(small_ints, min_size=1, max_size=8),
-    st.lists(small_ints, min_size=1, max_size=8),
+    st.lists(int_coeffs, min_size=1, max_size=8),
+    st.lists(int_coeffs, min_size=1, max_size=8),
     st.integers(-5, 5),
     st.fractions(min_value=-8, max_value=8, max_denominator=6),
 )
@@ -147,7 +147,7 @@ def test_series_inverse():
 @given(
     st.integers(0, 5),
     st.sampled_from((1, -1)),
-    st.lists(small_ints, max_size=6),
+    st.lists(int_coeffs, max_size=6),
 )
 def test_series_inverse_is_two_sided(genus, lead, rest):
     s = ThetaSeries([lead] + rest, genus)
