@@ -2,9 +2,10 @@
 
 The closed formula sums divided powers of r0*theta.  The oracle route
 never sees that formula: it pushes the universal line bundle's Chern
-character down the curve with a Riemann-Roch twist, converts to a total
-Chern class by Newton's identities, inverts to a Segre series, and
-pairs the matching coefficient.  The check command sweeps both over a
+character down the curve with a Riemann-Roch twist, converts it to a
+total Chern class by Newton's identities, runs the same identities on
+the negated character for the Segre series s = 1/c = c(-E), and pairs
+the matching coefficient.  The check command sweeps both over a
 grid; here the pipeline is unrolled on one instance.
 """
 

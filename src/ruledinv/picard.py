@@ -1,11 +1,11 @@
 """Independent oracle for the abelian count via the Picard-variety route.
 
 This module recomputes the quotient count without the closed formula:
-push the universal sheaf's character down the curve, turn the character
-into a total Chern class with Newton's identities, invert it to a Segre
-series, and pair the right Segre coefficient against the orientation
-blade under the standard identification of the Picard cohomology with
-the exterior algebra (theta goes to Theta).
+push the universal sheaf's character down the curve, turn it into a
+Segre series with Newton's identities on the negated character, and
+pair the right Segre coefficient against the orientation blade under
+the standard identification of the Picard cohomology with the exterior
+algebra (theta goes to Theta).
 
 The series in theta are combinations on exterior's shared core in the
 divided-power basis theta^[k] = theta^k/k!, where every coefficient of
@@ -25,7 +25,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
-from operator import add
 
 from .exterior import Combination, Multivector, Record, SurfaceTopology
 from .exterior import merge_blades, theta_class
@@ -94,23 +93,6 @@ class ThetaSeries(Combination):
     def shift(self) -> "ThetaSeries":
         """Multiply by theta: theta * theta^[i] = (i + 1) * theta^[i + 1]."""
         return self._like({i + 1: (i + 1) * c for i, c in self.terms.items() if i < self.genus})
-
-    def inverse(self) -> "ThetaSeries":
-        """Multiplicative inverse; the leading term must be 1 or -1.
-
-        S_k = -S_0 * sum_{i >= 1} C(k, i) * E_i * S_{k-i} for the series
-        E, with S_0 = 1/E_0 = E_0; row is Pascal's row k.
-        """
-        lead = self[0]
-        if lead not in (1, -1):
-            raise ValueError(f"leading term {lead} is not invertible over the integers")
-        terms = [(i, c) for i, c in self.terms.items() if i]
-        out = [lead]
-        row = [1]
-        for k in range(1, self.genus + 1):
-            row = [1, *map(add, row, row[1:]), 1]
-            out.append(-lead * sum(row[i] * c * out[k - i] for i, c in terms if i <= k))
-        return self._like(dict(enumerate(out)))
 
     def __repr__(self):
         # the theta^k coefficients: c/k! for the coefficient c of theta^[k]
@@ -212,7 +194,7 @@ def chern_series(ch: ThetaSeries) -> ThetaSeries:
     The character's theta^[i] coefficient is the power sum p_i = i! ch_i.
     With E_k = k! e_k, the recurrence k*e_k = sum_{i=1..k} (-1)^(i-1)
     e_{k-i} p_i reads E_k = sum_i (-1)^(i-1) perm(k-1, i-1) E_{k-i} p_i,
-    summed over the character's terms alone.
+    summed over the character's terms alone.  segre_series runs it on -ch.
     """
     powers = [(i, (-1) ** (i - 1) * p) for i, p in ch.terms.items() if i]
     e = [1]
@@ -222,8 +204,8 @@ def chern_series(ch: ThetaSeries) -> ThetaSeries:
 
 
 def segre_series(ch: ThetaSeries) -> ThetaSeries:
-    """Inverse of the total Chern class of ch."""
-    return chern_series(ch).inverse()
+    """Segre series s(E) = 1/c(E) = c(-E) of ch: c is multiplicative (Fulton 3.2)."""
+    return chern_series(-ch)
 
 
 @lru_cache(maxsize=None)

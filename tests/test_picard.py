@@ -133,30 +133,31 @@ def test_series_of_mixed_genus_do_not_combine(op):
 
 
 def test_series_inverse():
-    # 1 - theta + theta^2/2 inverts to 1 + theta + theta^2/2: e^-theta and e^theta
-    s = series(1, -1, 1, genus=2)
-    assert s.inverse().coeffs == (1, 1, 1)
-    # 1/(-1 + 2 theta) = -1 - 2 theta - 4 theta^2
-    assert series(-1, 2, genus=2).inverse().coeffs == (-1, -2, -8)
-    for lead in (0, 2, -3):
-        with pytest.raises(ValueError, match=f"^leading term {lead} is not invertible"):
-            series(lead, 1, genus=1).inverse()
+    # the line character sum x^k theta^[k] = e^(x theta) has c = 1 + x theta and
+    # Segre series 1/(1 + x theta) = sum (-x)^k theta^k = sum (-x)^k k! theta^[k]
+    pins = {
+        1: (1, -1, 2, -6, 24),
+        -1: (1, 1, 2, 6, 24),
+        2: (1, -2, 8, -48, 384),
+        -3: (1, 3, 18, 162, 1944),
+        0: (1, 0, 0, 0, 0),
+    }
+    for x, segre in pins.items():
+        for genus in range(5):
+            ch = ThetaSeries([x**k for k in range(genus + 1)], genus)
+            assert segre_series(ch).coeffs == segre[: genus + 1]
 
 
 @settings(max_examples=150)
-@given(
-    st.integers(0, 5),
-    st.sampled_from((1, -1)),
-    st.lists(int_coeffs, max_size=6),
-)
-def test_series_inverse_is_two_sided(genus, lead, rest):
-    s = ThetaSeries([lead] + rest, genus)
-    inv = s.inverse()
+@given(st.integers(0, 5), st.lists(int_coeffs, max_size=6))
+def test_series_inverse_is_two_sided(genus, coeffs):
+    ch = ThetaSeries(coeffs, genus)
+    chern, segre = chern_series(ch), segre_series(ch)
     one = ThetaSeries.constant(1, genus)
-    assert s * inv == one
-    assert inv * s == one
+    assert segre * chern == one
+    assert chern * segre == one
     # and on theta^k coefficients, against the plain Cauchy product
-    assert plain_product([plain(s.coeffs), plain(inv.coeffs)], genus) == plain(one.coeffs)
+    assert plain_product([plain(segre.coeffs), plain(chern.coeffs)], genus) == plain(one.coeffs)
 
 
 # -- two-factor ring with the odd square rule --------------------------------
@@ -255,7 +256,7 @@ def test_chern_series_on_split_characters(genus, roots):
     for x in roots:
         expected = expected * ThetaSeries([1, x], genus)
     assert chern_series(ch) == expected
-    assert segre_series(ch) == expected.inverse()
+    assert segre_series(ch) * expected == ThetaSeries.constant(1, genus)
 
 
 def test_segre_of_line_pushforward():
@@ -267,7 +268,7 @@ def test_segre_of_line_pushforward():
     assert repr(segre_series(pushed)) == "ThetaSeries(['1', '1', '1/2'])"
 
 
-@pytest.mark.parametrize("genera", [range(61), [400]], ids=["genus<=60", "genus=400"])
+@pytest.mark.parametrize("genera", [range(61), [1600]], ids=["genus<=60", "genus=1600"])
 def test_pushforward_classes_are_the_picard_bundle_exponentials(genera):
     # c = e^(-r0 theta) and s = e^(r0 theta) (Arbarello-Cornalba-Griffiths-Harris,
     # Geometry of Algebraic Curves I): E_k = (-r0)^k and S_k = r0^k on theta^[k],
@@ -607,8 +608,8 @@ def test_oracle_matches_closed_form_at_large_genus(genus):
         assert values[0] == r0**half and values[2] == 0 and values[3] != 0
 
 
-def test_oracle_matches_closed_form_on_a_half_handle_blade_at_genus_400():
-    genus, r0 = 400, 2
+def test_oracle_matches_closed_form_on_a_half_handle_blade_at_genus_1600():
+    genus, r0 = 1600, 2
     topo = SurfaceTopology(genus)
     l = handle_blade(topo, range(1, genus // 2 + 1))
     d0 = genus // 2 - r0 - (r0 - 1) * (1 - genus)
