@@ -17,6 +17,7 @@ from ruledinv.picard import (
     chern_series,
     ggw_via_segre,
     grr_pushforward,
+    integrate_sigma,
     min_valid_aux_twist,
     poincare_chern,
     segre_series,
@@ -31,7 +32,7 @@ dprime = d - twist
 print(f"instance: g={genus} r0={r0} d={d} d0={d0}  ->  v={v}, aux twist {twist}, d'={dprime}")
 
 kc = poincare_chern(dprime, genus)
-print("universal character, eta part:", kc.eta_part)
+print("universal character, eta part:", integrate_sigma(kc))
 
 pushed = grr_pushforward(dprime, r0, genus)
 print("pushforward character:", pushed)

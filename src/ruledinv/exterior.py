@@ -10,10 +10,11 @@ Generators carry flat indices 0..2g-1 with a_k at 2(k-1) and b_k at
 2(k-1)+1; a blade is a strictly increasing tuple of such indices.
 
 Multivector, the slant algebra's NormalForm and the Segre oracle's
-ThetaSeries share one sparse core, Combination.  Validation happens
+ThetaSeries and KunnethClass share one sparse core, Combination, with
+one bilinear product and one truncated exponential.  Validation happens
 where terms enter: the public constructors and the parsers.  Results
 built from terms that are already valid (wedge, sums, scalings, theta
-and its powers, exp_even) come through the one trusted
+and its powers, exponentials) come through the one trusted
 Combination._like.  Every value class is a __slots__ class on Record:
 the small ones of every layer (SurfaceTopology here), and Combination,
 whose subclasses' own __slots__ are their shape.
@@ -151,12 +152,14 @@ class Combination(Record):
     - monomial_degree(m), the degree of one monomial;
     - merge_monomials(m1, m2), the product of two monomials as
       (monomial, multiplier), or None when it vanishes: a sign for
-      blades, a binomial for theta's divided powers.
+      blades, a binomial for theta's divided powers, the Kunneth
+      relations for picard's KunnethClass.
 
     x * n scales by an int n, and exact_div divides by one.  x * y, for
     y of x's type and shape, is the bilinear product: each pair of terms
     multiplies through merge_monomials.  Any other operand is a
-    TypeError.
+    TypeError.  x.exp(one, who) is the truncated exponential of a
+    nilpotent x.
 
     Public constructors and parsers validate; everything computed from
     valid operands comes through _like.
@@ -227,6 +230,23 @@ class Combination(Record):
             if c % k:
                 raise ArithmeticError(f"{who}: coefficient {c} on {m} not divisible by {k}")
         return self._like({m: c // k for m, c in self.terms.items()})
+
+    def exp(self, one, who: str):
+        """Sum of self^k/k! from one, self's unit, to the last power that does not vanish.
+
+        self must be nilpotent.  Each power is divided by k before the
+        next is taken, and each division must come out exact, or it
+        raises ArithmeticError naming who.
+        """
+        result = power = one
+        k = 0
+        while True:
+            k += 1
+            power = power * self
+            if power.is_zero():
+                return result
+            power = power.exact_div(k, who)
+            result = result + power
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -384,17 +404,7 @@ def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
     (deg,) = degs
     if deg % 2 or deg < 2:
         raise ValueError(f"exp_even: degree {deg} is not even and >= 2")
-    result = Multivector.scalar(1)
-    power = Multivector.scalar(1)
-    k = 0
-    while True:
-        k += 1
-        power = wedge(power, x, topo)
-        if power.is_zero():
-            break
-        power = power.exact_div(k, "exp_even")
-        result = result + power
-    return result
+    return x.exp(Multivector.scalar(1), "exp_even")
 
 
 def top_pairing(x: Multivector, topo: SurfaceTopology) -> int:
@@ -403,28 +413,29 @@ def top_pairing(x: Multivector, topo: SurfaceTopology) -> int:
     return x.coefficient(topo.top_blade())
 
 
-def pair_theta_powers(l: Multivector, topo: SurfaceTopology, scale: int, powers) -> int:
-    """Sum over i in powers of the top pairing of (scale*Theta)^i/i! with l.
+def pair_theta_powers(l: Multivector, topo: SurfaceTopology, scale: int, lowest: int) -> int:
+    """Sum over i >= lowest of the top pairing of (scale*Theta)^i/i! with l.
 
     The one kernel behind the closed forms: the count scales Theta by the
-    target rank, the Seiberg-Witten value by half the fibre pairing.
-    Theta^i/i! is the sum of the i-handle blades, so only handle blades
-    of l, made of whole a_k^b_k pairs, reach the top grade.  A handle
-    blade B pairs to +1 with Theta^i/i! for i = g - |B|/2 alone, since
-    disjoint degree-2 blocks commute; a term c*B adds c*scale^i when
-    that i is in powers, a range or tuple of ints.  An empty powers gives 0
+    target rank, the Seiberg-Witten value by half the fibre pairing, and
+    each truncates below its own lowest power; a lowest below 0 sums
+    them all.  Theta^i/i! is the sum of the i-handle blades, so only
+    handle blades of l, made of whole a_k^b_k pairs, reach the top
+    grade.  A handle blade B pairs to +1 with Theta^i/i! for
+    i = g - |B|/2 alone, since disjoint degree-2 blocks commute; a term
+    c*B adds c*scale^i when i >= lowest.  A lowest past the genus gives 0
     unchecked, else a blade past the genus raises with l's largest index.
     Increasing entries fill |B|/2 handles exactly when B is a handle blade.
     """
-    if not powers:
-        return 0
     genus, rank = topo.genus, topo.rank
+    if lowest > genus:
+        return 0
     total = 0
     for blade, coeff in l.terms.items():
         if blade and blade[-1] >= rank:
             _check_range(l, topo, "pair_theta_powers")
         i, odd = divmod(2 * genus - len(blade), 2)
-        if not odd and i in powers and len({x >> 1 for x in blade}) == genus - i:
+        if not odd and i >= lowest and len({x >> 1 for x in blade}) == genus - i:
             total += coeff * scale**i
     return total
 

@@ -40,8 +40,7 @@ def ggw_abelian(genus: int, r0: int, v: int, l: Multivector) -> int:
         raise ValueError("genus must be nonnegative")
     if r0 < 1:
         raise ValueError("target rank must be >= 1")
-    powers = range(max(0, genus - v), genus + 1)
-    return pair_theta_powers(l, SurfaceTopology(genus), r0, powers)
+    return pair_theta_powers(l, SurfaceTopology(genus), r0, genus - v)
 
 
 def quot_count(genus: int, r0: int) -> int:
@@ -91,8 +90,7 @@ def sw_for_class(c: H2Class, geom: RuledSurfaceGeometry, l: Multivector) -> SWRe
     if w_c % 2:
         raise ValueError(f"index {w_c} is odd; cannot halve for the truncation bound")
     sign = 1 if pair > 0 else -1
-    powers = range(max(0, genus - w_c // 2), genus + 1)
-    total = pair_theta_powers(l, SurfaceTopology(genus), pair // 2, powers)
+    total = pair_theta_powers(l, SurfaceTopology(genus), pair // 2, genus - w_c // 2)
     return SWResult(sign, sign * total, 0, w_c, c, pair)
 
 

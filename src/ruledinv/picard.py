@@ -7,10 +7,13 @@ pair the right Segre coefficient against the orientation blade under
 the standard identification of the Picard cohomology with the exterior
 algebra (theta goes to Theta).
 
-The series in theta are combinations on exterior's shared core in the
-divided-power basis theta^[k] = theta^k/k!, where every coefficient of
-the character, the Chern class and the Segre series is an int; the
-count sums their pairings as ints.
+The series in theta, and the classes of the product ring
+H*(Pic) (x) H*(curve) the character lives in, are combinations on
+exterior's shared core in the divided-power basis theta^[k] =
+theta^k/k!, where every coefficient of the character, the Chern class
+and the Segre series is an int; the count sums their pairings as ints.
+The character is the core's truncated exponential of the first Chern
+class, multiplied through the Kunneth relations.
 
 A blade B pairs with the divided power Theta^[k] through the
 Pfaffian-minor expansion (Ishikawa-Wakayama, "Minor summation formula of
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 
-from .exterior import Combination, Multivector, Record, SurfaceTopology
+from .exterior import Combination, Multivector, SurfaceTopology
 from .exterior import merge_blades, theta_class
 from .indices import abelian_v
 
@@ -76,10 +79,6 @@ class ThetaSeries(Combination):
     def monomial_degree(i):
         return 2 * i  # theta has degree 2
 
-    @classmethod
-    def constant(cls, value, genus: int) -> "ThetaSeries":
-        return cls([value], genus)
-
     @property
     def coeffs(self) -> tuple:
         return tuple(self.terms.get(i, 0) for i in range(self.genus + 1))
@@ -90,85 +89,75 @@ class ThetaSeries(Combination):
             raise IndexError(i)
         return self.terms.get(i, 0)
 
-    def shift(self) -> "ThetaSeries":
-        """Multiply by theta: theta * theta^[i] = (i + 1) * theta^[i + 1]."""
-        return self._like({i + 1: (i + 1) * c for i, c in self.terms.items() if i < self.genus})
-
     def __repr__(self):
         # the theta^k coefficients: c/k! for the coefficient c of theta^[k]
         plain = [str(Fraction(c, factorial(k))) for k, c in enumerate(self.coeffs)]
         return f"ThetaSeries({plain})"
 
 
-class KunnethClass(Record):
-    """Element one + gamma_part*gamma + eta_part*eta of the product ring.
+class KunnethClass(Combination):
+    """Element of the product ring H*(Pic) (x) H*(curve), truncated past theta^genus.
 
-    Relations: eta^2 = 0, gamma*eta = 0, gamma^2 = -2*theta*eta, theta
-    central.  gamma*eta = 0 closes the three-component representation.
+    A combination on exterior's shared core whose monomial (k, part) is
+    theta^[k] times 1, gamma or eta for part 0, 1 or 2, with k in
+    0..genus and int coefficients; the genus is the shape.  eta is the
+    curve's point class and gamma the H^1 (x) H^1 part of the universal
+    class: eta^2 = 0, gamma*eta = 0 and gamma^2 = -2*theta*eta
+    (Arbarello-Cornalba-Griffiths-Harris, Geometry of Algebraic Curves I,
+    ch. VIII).  merge_monomials multiplies the theta parts as ThetaSeries
+    does, with theta * theta^[k] = (k + 1) * theta^[k + 1] for gamma^2;
+    a product past theta^genus vanishes.
     """
 
-    __slots__ = ("one", "gamma_part", "eta_part")
+    __slots__ = ("genus",)
 
-    def __init__(self, one: ThetaSeries, gamma_part: ThetaSeries, eta_part: ThetaSeries):
-        if not one.genus == gamma_part.genus == eta_part.genus:
-            raise ValueError("components disagree on genus")
-        self.one, self.gamma_part, self.eta_part = one, gamma_part, eta_part
+    def __init__(self, terms, genus: int):
+        if genus < 0:
+            raise ValueError("genus must be nonnegative")
+        for m, c in terms.items():
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r} is not an int")
+            if not (
+                type(m) is tuple and len(m) == 2 and isinstance(m[0], int)
+                and 0 <= m[0] <= genus and m[1] in (0, 1, 2)
+            ):
+                raise ValueError(f"monomial {m!r} is not (k, part) with k in 0..{genus}, part 0..2")
+        self.genus = genus
+        self.terms = {m: c for m, c in terms.items() if c}
 
-    @classmethod
-    def unit(cls, genus: int) -> "KunnethClass":
-        z = ThetaSeries.constant(0, genus)
-        return cls(ThetaSeries.constant(1, genus), z, z)
+    def merge_monomials(self, m1, m2):
+        (i, p), (j, q) = m1, m2
+        k = i + j
+        if p + q > 2:  # eta^2 = gamma*eta = 0
+            return None
+        if p == q == 1:  # gamma^2 = -2*theta*eta
+            return ((k + 1, 2), -2 * comb(k, i) * (k + 1)) if k < self.genus else None
+        return ((k, p + q), comb(k, i)) if k <= self.genus else None
 
-    def __add__(self, other):
-        if not isinstance(other, KunnethClass):
-            return NotImplemented
-        return KunnethClass(
-            self.one + other.one,
-            self.gamma_part + other.gamma_part,
-            self.eta_part + other.eta_part,
-        )
+    @staticmethod
+    def monomial_degree(m):
+        return 2 * m[0] + (2 if m[1] else 0)  # theta, gamma and eta all have degree 2
 
-    def __mul__(self, other):
-        if not isinstance(other, KunnethClass):
-            return NotImplemented
-        return KunnethClass(
-            self.one * other.one,
-            self.one * other.gamma_part + self.gamma_part * other.one,
-            self.one * other.eta_part
-            + self.eta_part * other.one
-            - 2 * (self.gamma_part * other.gamma_part).shift(),
-        )
-
-    def is_zero(self) -> bool:
-        return self.one.is_zero() and self.gamma_part.is_zero() and self.eta_part.is_zero()
+    def __repr__(self):
+        return f"KunnethClass({dict(self.items())!r}, genus={self.genus})"
 
 
 def poincare_chern(dprime: int, genus: int) -> KunnethClass:
     """Character 1 + d'*eta + gamma - theta*eta of the universal line bundle.
 
-    Computed as the exponential of the first Chern class d'*eta + gamma;
-    the square of that class is -2*theta*eta and the cube vanishes, so
-    the loop stops on its own.  Each division by k must come out exact,
-    as in exp_even.  A negative genus raises in ThetaSeries.
+    The core's truncated exponential of the first Chern class
+    d'*eta + gamma: the square of that class is -2*theta*eta and the
+    cube vanishes, so the loop stops on its own.  A negative genus
+    raises in KunnethClass.
     """
-    zero = ThetaSeries.constant(0, genus)
-    c1 = KunnethClass(zero, ThetaSeries.constant(1, genus), ThetaSeries.constant(dprime, genus))
-    result = KunnethClass.unit(genus)
-    power = KunnethClass.unit(genus)
-    k = 0
-    while True:
-        k += 1
-        power = power * c1
-        if power.is_zero():
-            return result
-        parts = (power.one, power.gamma_part, power.eta_part)
-        power = KunnethClass(*(s.exact_div(k, "poincare_chern") for s in parts))
-        result = result + power
+    c1 = KunnethClass({(0, 1): 1, (0, 2): dprime}, genus)
+    return c1.exp(KunnethClass({(0, 0): 1}, genus), "poincare_chern")
 
 
 def integrate_sigma(kc: KunnethClass) -> ThetaSeries:
-    """Fibre integration over the curve: keep the eta coefficient."""
-    return kc.eta_part
+    """Fibre integration over the curve: the eta terms, as a theta series."""
+    eta = {k: c for (k, part), c in kc.terms.items() if part == 2}
+    return ThetaSeries([0], kc.genus)._like(eta)
 
 
 def grr_pushforward(dprime: int, r0: int, genus: int) -> ThetaSeries:
@@ -181,10 +170,7 @@ def grr_pushforward(dprime: int, r0: int, genus: int) -> ThetaSeries:
         raise ValueError("genus must be nonnegative")
     if r0 < 1:
         raise ValueError("target rank must be >= 1")
-    zero = ThetaSeries.constant(0, genus)
-    todd = KunnethClass(
-        ThetaSeries.constant(1, genus), zero, ThetaSeries.constant(1 - genus, genus)
-    )
+    todd = KunnethClass({(0, 0): 1, (0, 2): 1 - genus}, genus)
     return r0 * integrate_sigma(poincare_chern(dprime, genus) * todd)
 
 

@@ -445,4 +445,4 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
         if 2 * (v - u[0]) == len(odd):
             for blade, c in Multivector.blade([j - 1 for _, j in odd], coeff).terms.items():
                 terms[blade] = terms.get(blade, 0) + c
-    return pair_theta_powers(Multivector()._like(terms), topo, r0, range(genus + 1))
+    return pair_theta_powers(Multivector()._like(terms), topo, r0, 0)

@@ -83,7 +83,6 @@ def test_series_ring_ops():
     # (1 + 2 theta)(theta + theta^[2]) = theta + (1 + 2*2) theta^[2]; theta^3 truncated away
     assert (a * b).coeffs == (0, 1, 5)
     assert (3 * a).coeffs == (3, 6, 0)
-    assert a.shift().coeffs == (0, 1, 4)  # theta + 2 theta^2 = theta + 4 theta^[2]
     with pytest.raises(ValueError):
         a + series(1, genus=4)
     with pytest.raises(TypeError, match=r"^coefficient Fraction\(1, 2\) is not an int$"):
@@ -115,8 +114,7 @@ def test_series_ring_matches_dense_reference(genus, xs, ys, n, q):
     assert plain((a - b).coeffs) == [s - t for s, t in zip(x, y)]
     assert plain((-a).coeffs) == [-s for s in x]
     assert plain((n * a).coeffs) == plain((a * n).coeffs) == [n * s for s in x]
-    assert plain(a.shift().coeffs) == [0] + x[:genus]
-    assert all(type(c) is int for c in (a * b).coeffs + a.shift().coeffs)
+    assert all(type(c) is int for c in (a * b).coeffs)
     # a Fraction scales nothing, even a whole one
     for op in (lambda: a * q, lambda: q * a):
         with pytest.raises(TypeError):
@@ -153,7 +151,7 @@ def test_series_inverse():
 def test_series_inverse_is_two_sided(genus, coeffs):
     ch = ThetaSeries(coeffs, genus)
     chern, segre = chern_series(ch), segre_series(ch)
-    one = ThetaSeries.constant(1, genus)
+    one = ThetaSeries([1], genus)
     assert segre * chern == one
     assert chern * segre == one
     # and on theta^k coefficients, against the plain Cauchy product
@@ -163,42 +161,59 @@ def test_series_inverse_is_two_sided(genus, coeffs):
 # -- two-factor ring with the odd square rule --------------------------------
 
 
-def _gamma(genus):
-    z = ThetaSeries.constant(0, genus)
-    return KunnethClass(z, ThetaSeries.constant(1, genus), z)
+# the Kunneth relations on plain theta^k coefficients: part 0, 1, 2 is 1, gamma, eta;
+# gamma^2 = -2*theta*eta, gamma*eta = eta^2 = 0; the table never calls merge_monomials
+# (p, q) -> (extra theta power, part, sign) of part p times part q; absent pairs vanish
+PART_PRODUCTS = {(0, 0): (0, 0, 1), (0, 1): (0, 1, 1), (1, 0): (0, 1, 1), (0, 2): (0, 2, 1),
+                 (2, 0): (0, 2, 1), (1, 1): (1, 2, -2)}
 
 
-def _eta(genus):
-    z = ThetaSeries.constant(0, genus)
-    return KunnethClass(z, z, ThetaSeries.constant(1, genus))
+def kunneth_table(genus):
+    """(m1, m2) -> the terms of m1 * m2, for every pair of monomials theta^[k] * part."""
+    monomials = [(k, part) for k in range(genus + 1) for part in range(3)]
+    table = {}
+    for (i, p), (j, q) in product(monomials, repeat=2):
+        want = {}
+        if (p, q) in PART_PRODUCTS:
+            extra, part, sign = PART_PRODUCTS[p, q]
+            n = i + j + extra  # theta^[i] theta^[j] theta^extra = theta^n / (i! j!)
+            if n <= genus:
+                want[n, part] = sign * factorial(n) // (factorial(i) * factorial(j))
+        table[(i, p), (j, q)] = want
+    return table
 
 
-@pytest.mark.parametrize("genus", [0, 1, 2, 3])
+@pytest.mark.parametrize("genus", [0, 1, 2, 3, 4])
 def test_kunneth_relations(genus):
-    gamma, eta = _gamma(genus), _eta(genus)
-    sq = gamma * gamma
-    assert sq.one.is_zero() and sq.gamma_part.is_zero()
-    assert sq.eta_part == -2 * ThetaSeries([0, 1], genus)
-    assert (gamma * eta).is_zero()
-    assert (eta * eta).is_zero()
+    # every product of two monomials, theta-carrying ones and those past theta^genus among them
+    for (m1, m2), want in kunneth_table(genus).items():
+        got = KunnethClass({m1: 1}, genus) * KunnethClass({m2: 1}, genus)
+        assert got.terms == want, (m1, m2)
+    gamma, eta = KunnethClass({(0, 1): 1}, genus), KunnethClass({(0, 2): 1}, genus)
+    assert (gamma * gamma).terms == ({(1, 2): -2} if genus else {})
+    assert (gamma * eta).is_zero() and (eta * eta).is_zero()
 
 
 def test_kunneth_genus_mismatch():
-    with pytest.raises(ValueError):
-        KunnethClass(
-            ThetaSeries.constant(1, 1),
-            ThetaSeries.constant(0, 1),
-            ThetaSeries.constant(0, 2),
-        )
+    with pytest.raises(ValueError, match="^KunnethClass operands built over different contexts$"):
+        KunnethClass({(0, 1): 1}, 1) * KunnethClass({(0, 1): 1}, 2)
+    with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+        KunnethClass({}, -1)
+    for bad in [(2, 0), (-1, 0), (0, 3), (0, -1), (0,), (0, 1, 2), 0, (0.5, 0)]:
+        with pytest.raises(ValueError, match="^monomial .* is not"):
+            KunnethClass({bad: 1}, 1)
+    with pytest.raises(TypeError, match=r"^coefficient Fraction\(1, 2\) is not an int$"):
+        KunnethClass({(0, 0): Fraction(1, 2)}, 1)
+    assert KunnethClass({(0, 0): 0, (1, 2): 3}, 1).terms == {(1, 2): 3}
 
 
 def test_poincare_chern_closed_form():
     # exp(d'*eta + gamma) = 1 + gamma + (d' - theta)*eta
     kc = poincare_chern(5, 2)
-    assert kc.one == ThetaSeries.constant(1, 2)
-    assert kc.gamma_part == ThetaSeries.constant(1, 2)
-    assert kc.eta_part == series(5, -1, genus=2)
+    assert kc.terms == {(0, 0): 1, (0, 1): 1, (0, 2): 5, (1, 2): -1}
     assert integrate_sigma(kc) == series(5, -1, genus=2)
+    # in genus 0 theta vanishes, and so does gamma^2
+    assert poincare_chern(5, 0).terms == {(0, 0): 1, (0, 1): 1, (0, 2): 5}
     with pytest.raises(ValueError, match="^genus must be nonnegative$"):
         poincare_chern(0, -1)
 
@@ -245,18 +260,18 @@ def test_chern_series_on_split_characters(genus, roots):
     # produce the factored total class prod(1 + x*theta), and the Segre
     # series prod(1/(1 + x*theta)); checks Newton's identities head-on
     # against theta^k coefficients that never go through merge_monomials.
-    ch = ThetaSeries.constant(0, genus)
+    ch = ThetaSeries([0], genus)
     for x in roots:
         ch = ch + ThetaSeries([x**k for k in range(genus + 1)], genus)
     chern = plain_product([[1, x] for x in roots], genus)
     segre = plain_product([[(-x) ** k for k in range(genus + 1)] for x in roots], genus)
     assert plain(chern_series(ch).coeffs) == chern
     assert plain(segre_series(ch).coeffs) == segre
-    expected = ThetaSeries.constant(1, genus)
+    expected = ThetaSeries([1], genus)
     for x in roots:
         expected = expected * ThetaSeries([1, x], genus)
     assert chern_series(ch) == expected
-    assert segre_series(ch) * expected == ThetaSeries.constant(1, genus)
+    assert segre_series(ch) * expected == ThetaSeries([1], genus)
 
 
 def test_segre_of_line_pushforward():
@@ -294,6 +309,9 @@ def test_exact_div_divides_or_names_the_coefficient():
     message = r"^exp_even: coefficient -9 on \(\) not divisible by 2$"
     with pytest.raises(ArithmeticError, match=message):
         x.exact_div(2, "exp_even")
+    # the core's exponential divides each power exactly: 1, not nilpotent, fails at 1^2/2
+    with pytest.raises(ArithmeticError, match=r"^who: coefficient 1 on \(\) not divisible by 2$"):
+        ONE.exp(ONE, "who")
 
 
 # -- the Pfaffian pairing ----------------------------------------------------
