@@ -1,8 +1,9 @@
 """Cross-validation grids behind the check command and the acceptance tests.
 
 Two independent routes to every number: the closed formula against the
-Segre-series oracle on one grid, and the Seiberg-Witten route against
-the quotient-count dictionary on the other.  Each grid is a generator
+Segre-series oracle on one grid, and on the other the Seiberg-Witten
+value against the Segre oracle's count of the quot problem that the
+index dictionary sends it to.  Each grid is a generator
 that yields one outcome per case, in a fixed nested order: None when the
 case passes, the counterexample dict when it fails.  One runner counts
 cases and failures and keeps the first counterexample, so output is
@@ -16,13 +17,16 @@ this module's globals, once per case, so a caller that rebinds
 from itertools import combinations, product
 
 from .exterior import Multivector, Record, SurfaceTopology
-from .indices import RuledSurfaceGeometry, abelian_v, spinc_det, intersect
-from .invariants import FIBRE, ggw_abelian, sw_equals_ggw_check, sw_ruled
+from . import picard
+from .indices import RuledSurfaceGeometry, abelian_v, spinc_det
+from .invariants import ggw_abelian, sw_chamber, sw_value
 from .picard import ggw_via_segre, min_valid_aux_twist
 
 __all__ = [
     "CheckReport",
     "basis_monomials",
+    "dictionary_point",
+    "sw_equals_ggw_check",
     "run_oracle_grid",
     "run_dictionary_grid",
     "run_all",
@@ -32,8 +36,10 @@ __all__ = [
 MAX_CHECK_CASES = 1_000_000
 # oracle points (genus, r0, d, d0) run_all accepts, max_r0 * (2*max_deg + 1)^2 *
 # (max_genus + 1): each builds its own Segre series, so work grows with points, not
-# cases.  The default grids have 980, --max-genus 5 has 1,176; the slowest grid under
-# both caps, --max-genus 4 --max-r0 600 --max-deg 0, ran in about 5 s on 2 CPUs
+# cases.  The dictionary grid has as many points (genus, d0, d, n), each with a Segre
+# series of its own quot problem, so one count bounds both.  The default grids have
+# 980, --max-genus 5 has 1,176; the slowest grid under both caps, --max-genus 4
+# --max-r0 600 --max-deg 0, ran in about 1 s on 2 CPUs
 MAX_CHECK_POINTS = 3_000
 
 
@@ -100,25 +106,55 @@ def _oracle_outcomes(max_genus, max_r0, max_deg):
                     }
 
 
+def dictionary_point(d: int, n: int, geom: RuledSurfaceGeometry):
+    """The work shared by the dictionary's cases at (d, n, geom): (chamber, quot).
+
+    chamber is the sw_chamber of the structure twisted by d*f + n*s; quot
+    is ggw_via_segre's (r0, d, d0, aux_twist) for the quot problem the
+    dictionary sends it to, or None when the fibre pairing is not 2n + 2.
+    Raises ArithmeticError when the index identity w_c = 2v fails.
+    """
+    chamber = sw_chamber(spinc_det(d, n, geom), geom)
+    if chamber[1] != 2 * n + 2:
+        return chamber, None
+    r0 = n + 1
+    d0_eff = n * (n + 1) * geom.v0_degree // 2
+    v = abelian_v(r0, -d, d0_eff, geom.genus)
+    if chamber[2] != 2 * v:
+        raise ArithmeticError(f"index dictionary: w_c = {chamber[2]}, but 2v = {2 * v}")
+    return chamber, (r0, -d, d0_eff, min_valid_aux_twist(geom.genus, r0, -d, d0_eff))
+
+
+def sw_equals_ggw_check(chamber: tuple, topo: SurfaceTopology, quot: tuple, l: Multivector) -> bool:
+    """One dictionary case: the Seiberg-Witten value on l against the
+    chamber's sign times the Segre oracle's count of the quot problem."""
+    return sw_value(chamber, topo, l) == chamber[0] * picard.ggw_via_segre(topo.genus, *quot, l)
+
+
 def _dictionary_outcomes(max_genus, max_n, max_deg):
     degrees = range(-max_deg, max_deg + 1)
     for genus in range(max_genus + 1):
-        monomials = basis_monomials(SurfaceTopology(genus))
+        topo = SurfaceTopology(genus)
+        monomials = basis_monomials(topo)
         for d0 in degrees:
             geom = RuledSurfaceGeometry(genus, d0)
             for d, n in product(degrees, range(max_n + 1)):
-                fits = intersect(spinc_det(d, n, geom), FIBRE, geom) == 2 * n + 2
+                where = {"genus": genus, "d": d, "n": n, "d0": d0}
+                try:
+                    chamber, quot = dictionary_point(d, n, geom)
+                except (ArithmeticError, ValueError) as err:
+                    for l in monomials:
+                        yield {**where, "l": repr(l), "error": _shown(err)}
+                    continue
                 for l in monomials:
                     try:
-                        if fits and sw_equals_ggw_check(d, n, geom, l):
+                        if quot is not None and sw_equals_ggw_check(chamber, topo, quot, l):
                             yield None
                             continue
-                        res = sw_ruled(d, n, geom, l)
-                        sw, pair = res.value_signed_chamber, res.pair_with_fibre
-                        found = {"sw": sw, "pair_with_fibre": pair}
+                        found = {"sw": sw_value(chamber, topo, l), "pair_with_fibre": chamber[1]}
                     except (ArithmeticError, ValueError) as err:
                         found = {"error": _shown(err)}
-                    yield {"genus": genus, "d": d, "n": n, "d0": d0, "l": repr(l), **found}
+                    yield {**where, "l": repr(l), **found}
 
 
 def run_oracle_grid(max_genus: int = 4, max_r0: int = 4, max_deg: int = 3) -> CheckReport:
@@ -127,7 +163,7 @@ def run_oracle_grid(max_genus: int = 4, max_r0: int = 4, max_deg: int = 3) -> Ch
 
 
 def run_dictionary_grid(max_genus: int = 4, max_n: int = 3, max_deg: int = 3) -> CheckReport:
-    """Seiberg-Witten values vs the quotient-count dictionary."""
+    """Seiberg-Witten values vs the Segre oracle, through the index dictionary."""
     return _run_grid("sw_dictionary", _dictionary_outcomes(max_genus, max_n, max_deg))
 
 

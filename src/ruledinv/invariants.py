@@ -12,7 +12,6 @@ from .exterior import Multivector, Record, SurfaceTopology, pair_theta_powers
 from .indices import (
     H2Class,
     RuledSurfaceGeometry,
-    abelian_v,
     index_wc,
     intersect,
     spinc_det,
@@ -22,9 +21,10 @@ __all__ = [
     "ggw_abelian",
     "quot_count",
     "SWResult",
+    "sw_chamber",
+    "sw_value",
     "sw_for_class",
     "sw_ruled",
-    "sw_equals_ggw_check",
 ]
 
 FIBRE = H2Class(0, 1)
@@ -78,41 +78,38 @@ class SWResult(Record):
         self.c, self.pair_with_fibre = c, pair_with_fibre
 
 
-def sw_for_class(c: H2Class, geom: RuledSurfaceGeometry, l: Multivector) -> SWResult:
-    """Seiberg-Witten values for an arbitrary characteristic class c."""
+def sw_chamber(c: H2Class, geom: RuledSurfaceGeometry) -> tuple:
+    """The part of sw_for_class that l does not enter: (sign, pair, w_c, scale, lowest).
+
+    The signed chamber's value on l is sign times the kernel at scale
+    pair/2, summed from the power g - w_c/2.  A zero fibre pairing puts
+    the lowest power past the genus, so its value is 0 on every l.
+    """
     genus = geom.genus
     pair = intersect(c, FIBRE, geom)
     w_c = index_wc(c, geom)
     if pair == 0:
-        return SWResult(0, 0, 0, w_c, c, 0)
+        return 0, 0, w_c, 0, genus + 1
     if pair % 2:
         raise ValueError(f"fibre pairing {pair} is odd")
     if w_c % 2:
         raise ValueError(f"index {w_c} is odd; cannot halve for the truncation bound")
-    sign = 1 if pair > 0 else -1
-    total = pair_theta_powers(l, SurfaceTopology(genus), pair // 2, genus - w_c // 2)
-    return SWResult(sign, sign * total, 0, w_c, c, pair)
+    return (1 if pair > 0 else -1), pair, w_c, pair // 2, genus - w_c // 2
+
+
+def sw_value(chamber: tuple, topo: SurfaceTopology, l: Multivector) -> int:
+    """The signed chamber's Seiberg-Witten value on l, for a chamber from sw_chamber."""
+    sign, _, _, scale, lowest = chamber
+    return sign * pair_theta_powers(l, topo, scale, lowest)
+
+
+def sw_for_class(c: H2Class, geom: RuledSurfaceGeometry, l: Multivector) -> SWResult:
+    """Seiberg-Witten values for an arbitrary characteristic class c."""
+    chamber = sw_chamber(c, geom)
+    sign, pair, w_c, _, _ = chamber
+    return SWResult(sign, sw_value(chamber, SurfaceTopology(geom.genus), l), 0, w_c, c, pair)
 
 
 def sw_ruled(d: int, n: int, geom: RuledSurfaceGeometry, l: Multivector) -> SWResult:
     """Invariant of the structure twisted by d*f + n*s on the ruled surface."""
     return sw_for_class(spinc_det(d, n, geom), geom, l)
-
-
-def sw_equals_ggw_check(d: int, n: int, geom: RuledSurfaceGeometry, l: Multivector) -> bool:
-    """Cross-check the SW value against the quotient count dictionary.
-
-    The dictionary sends the twist (d, n) to the rank-(n+1) target
-    problem with kernel degree -d and effective target degree
-    n(n+1)*d0/2; needs n >= 0 so the target rank is positive.
-    """
-    if n < 0:
-        raise ValueError("dictionary requires n >= 0")
-    r0 = n + 1
-    d0_eff = n * (n + 1) * geom.v0_degree // 2
-    v = abelian_v(r0, -d, d0_eff, geom.genus)
-    res = sw_ruled(d, n, geom, l)
-    # the index dictionary must agree before the values can
-    if res.w_c != 2 * v:
-        raise ArithmeticError(f"index dictionary: w_c = {res.w_c}, but 2v = {2 * v}")
-    return res.value_signed_chamber == res.sign * ggw_abelian(geom.genus, r0, v, l)

@@ -363,10 +363,11 @@ def test_grid_failures_are_counted_and_reported(capsys, monkeypatch):
         got = segre(genus, r0, d, d0, twist, l)
         return got + 1 if (genus, r0, d, d0, l.terms) == (1, 2, -1, 0, handle) else got
 
-    def refuted(d, n, geom, l):
+    def refuted(chamber, topo, quot, l):
+        # quot (r0, -d, n(n+1)d0/2, twist) = (2, -1, 0, _) is d = 1, n = 1, d0 = 0 alone
         calls["dictionary"] += 1
-        ok = sw_check(d, n, geom, l)
-        return ok and (d, n, geom.genus, geom.v0_degree, l.terms) != (1, 1, 1, 0, handle)
+        ok = sw_check(chamber, topo, quot, l)
+        return ok and (topo.genus, quot[:3], l.terms) != (1, (2, -1, 0), handle)
 
     monkeypatch.setattr(checks, "ggw_via_segre", off_by_one)
     monkeypatch.setattr(checks, "sw_equals_ggw_check", refuted)
@@ -404,9 +405,10 @@ def test_grid_failures_are_counted_and_reported(capsys, monkeypatch):
 def test_a_route_that_raises_fails_its_case(capsys, monkeypatch):
     # a bookkeeping error inside a case is that case's failure, with the
     # error's text in the counterexample, and check exits 1, not 2: the
-    # oracle's v off by one at genus 2 fails every oracle case there, the
-    # dictionary's v off by one at genus 1 every dictionary case that fits
-    from ruledinv import invariants, picard
+    # oracle's v off by one at genus 2 fails every case there of both grids,
+    # as the dictionary grid counts through the oracle too; the dictionary's
+    # own v off by one at genus 1 fails every dictionary case that fits
+    from ruledinv import picard
 
     def v_off_at(genus):
         return lambda r0, d, d0, g: abelian_v(r0, d, d0, g) + (g == genus)
@@ -426,13 +428,42 @@ def test_a_route_that_raises_fails_its_case(capsys, monkeypatch):
         "closed_form": 1,
         "oracle": "ArithmeticError: Segre bookkeeping: g + N - k = 0, but v = 1",
     }
-    assert dictionary["failures"] == 0
-    monkeypatch.setattr(invariants, "abelian_v", v_off_at(1))
+    assert dictionary["failures"] == 9 * 2 * 16  # (d, d0), n, blades
+    assert dictionary["first_counterexample"]["genus"] == 2
+    assert dictionary["first_counterexample"]["error"].startswith("ArithmeticError: Segre bookkeeping: ")
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "abelian_v", v_off_at(1))
     report = checks.run_dictionary_grid(max_genus=1, max_n=1, max_deg=1)
-    assert report.failures > 0
+    assert report.failures == 9 * 2 * 4  # (d, d0), n, blades
     case = report.first_counterexample
     assert case["genus"] == 1 and set(case) == {"genus", "d", "n", "d0", "l", "error"}
     assert case["error"].startswith("ArithmeticError: index dictionary: w_c = ")
+
+
+def test_dictionary_grid_catches_a_broken_sw_side(monkeypatch):
+    # the dictionary grid compares the Seiberg-Witten side with the Segre
+    # oracle, so a wrong kernel or a wrong chamber scale fails its cases
+    from ruledinv import invariants
+
+    kernel, chamber = invariants.pair_theta_powers, checks.sw_chamber
+
+    def kernel_flipped_at_genus_1(l, topo, scale, lowest):
+        return (-1) ** (topo.genus == 1) * kernel(l, topo, scale, lowest)
+
+    def scale_off_by_one(c, geom):
+        sign, pair, w_c, scale, lowest = chamber(c, geom)
+        return sign, pair, w_c, scale + 1, lowest
+
+    assert checks.run_dictionary_grid(max_genus=1).failures == 0
+    monkeypatch.setattr(invariants, "pair_theta_powers", kernel_flipped_at_genus_1)
+    flipped = checks.run_dictionary_grid(max_genus=1)
+    assert (flipped.cases, flipped.failures) == (980, 196)
+    assert flipped.first_counterexample == {
+        "genus": 1, "d": 0, "n": 0, "d0": -3, "l": "Multivector({(): 1})", "sw": -1, "pair_with_fibre": 2
+    }
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "sw_chamber", scale_off_by_one)
+    assert checks.run_dictionary_grid(max_genus=1).failures == 108
 
 
 # -- invariant checks survive python -O --------------------------------------

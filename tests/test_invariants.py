@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruledinv import invariants
+from ruledinv import checks
+from ruledinv.checks import dictionary_point, sw_equals_ggw_check
 from ruledinv.exterior import Multivector, SurfaceTopology, theta_class
 from ruledinv.indices import H2Class, RuledSurfaceGeometry, abelian_v
 from ruledinv.invariants import (
     ggw_abelian,
     quot_count,
-    sw_equals_ggw_check,
     sw_for_class,
     sw_ruled,
 )
@@ -151,18 +151,22 @@ def test_sw_for_class_validation():
 
 def test_sw_equals_ggw_spot_cases():
     topo = SurfaceTopology(1)
-    assert sw_equals_ggw_check(1, 1, RuledSurfaceGeometry(1, 0), ONE)
-    assert sw_equals_ggw_check(0, 0, RuledSurfaceGeometry(1, 0), blade_of(topo, 1))
-    assert sw_equals_ggw_check(-2, 3, RuledSurfaceGeometry(2, 2), ONE)
+    for d, n, geom, l in [
+        (1, 1, RuledSurfaceGeometry(1, 0), ONE),
+        (0, 0, RuledSurfaceGeometry(1, 0), blade_of(topo, 1)),
+        (-2, 3, RuledSurfaceGeometry(2, 2), ONE),
+    ]:
+        chamber, quot = dictionary_point(d, n, geom)
+        assert sw_equals_ggw_check(chamber, SurfaceTopology(geom.genus), quot, l)
     with pytest.raises(ValueError):
-        sw_equals_ggw_check(0, -1, RuledSurfaceGeometry(1, 0), ONE)
+        dictionary_point(0, -1, RuledSurfaceGeometry(1, 0))
 
 
 def test_dictionary_error_names_both_sides(monkeypatch):
     # a v off by one breaks w_c = 2v; the error says what disagreed
-    monkeypatch.setattr(invariants, "abelian_v", lambda *args: abelian_v(*args) + 1)
+    monkeypatch.setattr(checks, "abelian_v", lambda *args: abelian_v(*args) + 1)
     with pytest.raises(ArithmeticError, match="^index dictionary: w_c = 4, but 2v = 6$"):
-        sw_equals_ggw_check(1, 1, RuledSurfaceGeometry(1, 0), ONE)
+        dictionary_point(1, 1, RuledSurfaceGeometry(1, 0))
 
 
 @given(st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
