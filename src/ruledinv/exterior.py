@@ -382,10 +382,8 @@ def theta_divided_power(topo: SurfaceTopology, k: int) -> Multivector:
     if k > topo.genus:
         return Multivector.zero()
     # handle h (0-based) is the blade (2h, 2h+1)
-    terms = {}
-    for subset in combinations(range(topo.genus), k):
-        terms[tuple(i for h in subset for i in (2 * h, 2 * h + 1))] = 1
-    return Multivector()._like(terms)
+    handles = [(2 * h, 2 * h + 1) for h in range(topo.genus)]
+    return Multivector()._like(dict.fromkeys((sum(s, ()) for s in combinations(handles, k)), 1))
 
 
 def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
@@ -427,9 +425,10 @@ def pair_theta_powers(l: Multivector, topo: SurfaceTopology, scale: int, lowest:
     unchecked, else a blade past the genus raises with l's largest index.
     Increasing entries fill |B|/2 handles exactly when B is a handle blade.
     """
-    genus, rank = topo.genus, topo.rank
+    genus = topo.genus
     if lowest > genus:
         return 0
+    rank = 2 * genus
     total = 0
     for blade, coeff in l.terms.items():
         if blade and blade[-1] >= rank:

@@ -269,21 +269,15 @@ def _theta_pairing(genus: int, blade: tuple) -> int:
     return merge_blades(tuple(rows), blade)[1] * int(pf)
 
 
-def ggw_via_segre(
-    genus: int, r0: int, d: int, d0: int, aux_twist: int, l: Multivector
-) -> int:
-    """Abelian count recomputed through the Segre series of the pushforward.
+@lru_cache(maxsize=4096)
+def _segre_point(genus: int, r0: int, d: int, d0: int, aux_twist: int):
+    """(series, lowest) of one grid point, or None when v < 0.
 
-    aux_twist must be large enough that the twisted kernel degree
-    d' = d - aux_twist keeps the pushed-down hom sheaf a bundle
-    (d' <= min(-1, d0) - 2g, a conservative bound) and that the section
-    count k = r0*aux_twist - d0 is nonnegative.  The bookkeeping
-    identity (g + N) - k = v ties the Segre index to the closed form's
-    truncation and is checked.  Each blade B of l pairs with
-    Theta^[g - |B|/2] through the Pfaffian-minor expansion, as
-    eps(B^c, B) * Pf(Theta on B^c).  v below zero leaves no Segre index
-    to pair, so the count is 0 unchecked; otherwise any blade of l past
-    the genus raises, whether or not it pairs, as in ggw_abelian.
+    Everything in ggw_via_segre that does not depend on l, with its
+    checks in its order.  Cached: a grid pairs many blades at each
+    point, and a point that raises is never stored, so it raises again
+    on every call.  A caller that rebinds this module's abelian_v clears
+    the cache, or the points it holds keep the old v.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -302,11 +296,33 @@ def ggw_via_segre(
     v = abelian_v(r0, d, d0, genus)
     if genus + big_n - k != v:
         raise ArithmeticError(f"Segre bookkeeping: g + N - k = {genus + big_n - k}, but v = {v}")
-
     if v < 0:
+        return None
+    return _pushforward_segre(genus, r0, dprime), max(0, genus - v)
+
+
+def ggw_via_segre(
+    genus: int, r0: int, d: int, d0: int, aux_twist: int, l: Multivector
+) -> int:
+    """Abelian count recomputed through the Segre series of the pushforward.
+
+    aux_twist must be large enough that the twisted kernel degree
+    d' = d - aux_twist keeps the pushed-down hom sheaf a bundle
+    (d' <= min(-1, d0) - 2g, a conservative bound) and that the section
+    count k = r0*aux_twist - d0 is nonnegative.  The bookkeeping
+    identity (g + N) - k = v ties the Segre index to the closed form's
+    truncation and is checked.  Each blade B of l pairs with
+    Theta^[g - |B|/2] through the Pfaffian-minor expansion, as
+    eps(B^c, B) * Pf(Theta on B^c).  v below zero leaves no Segre index
+    to pair, so the count is 0 unchecked; otherwise any blade of l past
+    the genus raises, whether or not it pairs, as in ggw_abelian.  The
+    checks and the series are cached per point (genus, r0, d, d0,
+    aux_twist), and the pairings per blade.
+    """
+    point = _segre_point(genus, r0, d, d0, aux_twist)
+    if point is None:
         return 0
-    series = _pushforward_segre(genus, r0, dprime)
-    lowest = max(0, genus - v)
+    series, lowest = point
     total = 0
     for blade, coeff in l.terms.items():
         if blade and blade[-1] >= 2 * genus:

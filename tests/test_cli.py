@@ -414,6 +414,7 @@ def test_a_route_that_raises_fails_its_case(capsys, monkeypatch):
         return lambda r0, d, d0, g: abelian_v(r0, d, d0, g) + (g == genus)
 
     monkeypatch.setattr(picard, "abelian_v", v_off_at(2))
+    picard._segre_point.cache_clear()  # points cached by earlier tests never see the patch
     code, out, err = run(capsys, ["check", "--max-genus", "2", "--max-r0", "2", "--max-deg", "1"])
     assert code == 1 and err == ""
     oracle, dictionary = json.loads(out)["result"]["grids"]
@@ -432,6 +433,7 @@ def test_a_route_that_raises_fails_its_case(capsys, monkeypatch):
     assert dictionary["first_counterexample"]["genus"] == 2
     assert dictionary["first_counterexample"]["error"].startswith("ArithmeticError: Segre bookkeeping: ")
     monkeypatch.undo()
+    picard._segre_point.cache_clear()
     monkeypatch.setattr(checks, "abelian_v", v_off_at(1))
     report = checks.run_dictionary_grid(max_genus=1, max_n=1, max_deg=1)
     assert report.failures == 9 * 2 * 4  # (d, d0), n, blades

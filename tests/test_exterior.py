@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -340,6 +341,24 @@ def test_exp_even_theta_times_exp_minus_theta(genus):
     th = theta_class(topo)
     prod = wedge(exp_even(th, topo), exp_even(-1 * th, topo), topo)
     assert prod == Multivector.scalar(1)
+
+
+def theta_divided_power_by_generators(topo, k):
+    """The divided power built with a generator per handle subset: the reference."""
+    terms = {}
+    for subset in combinations(range(topo.genus), k):
+        terms[tuple(i for h in subset for i in (2 * h, 2 * h + 1))] = 1
+    return Multivector()._like(terms)
+
+
+@pytest.mark.parametrize("genus", range(11))
+def test_divided_powers_match_the_generator_build(genus):
+    # same blades in the same key order, for every k and one past the genus
+    topo = SurfaceTopology(genus)
+    for k in range(genus + 2):
+        want = theta_divided_power_by_generators(topo, k)
+        got = theta_divided_power(topo, k)
+        assert got == want and list(got.terms) == list(want.terms)
 
 
 @pytest.mark.parametrize("genus", range(6))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruledinv import picard
+from ruledinv.checks import run_all
 from ruledinv.exterior import (
     Multivector,
     SurfaceTopology,
@@ -439,22 +440,33 @@ def test_segre_route_spot_values():
 
 
 def test_segre_route_preconditions():
-    with pytest.raises(ValueError):
-        ggw_via_segre(1, 2, 0, 0, 0, ONE)  # twist leaves d' = 0 > -3
-    with pytest.raises(ValueError):
-        ggw_via_segre(0, 1, -5, 3, 0, ONE)  # section count 0 - 3 < 0
-    with pytest.raises(ValueError):
-        ggw_via_segre(-1, 1, 0, 0, 5, ONE)
-    with pytest.raises(ValueError):
-        ggw_via_segre(1, 0, 0, 0, 5, ONE)
+    # a point that raises is never cached, so it raises the same text again
+    picard._segre_point.cache_clear()
+    for args, message in (
+        ((1, 2, 0, 0, 0), "aux_twist 0 too small: twisted degree 0 exceeds -3"),  # d' = 0 > -3
+        ((0, 1, -5, 3, 0), "aux_twist 0 gives negative section count -3"),  # 0 - 3 < 0
+        ((-1, 1, 0, 0, 5), "genus must be nonnegative"),
+        ((1, 0, 0, 0, 5), "target rank must be >= 1"),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                ggw_via_segre(*args, ONE)
+            assert str(err.value) == message
+    assert picard._segre_point.cache_info().currsize == 0
 
 
 def test_segre_bookkeeping_error_names_both_sides(monkeypatch):
-    # a v off by one breaks (g + N) - k = v; the error says what disagreed
+    # a v off by one breaks (g + N) - k = v; the error says what disagreed,
+    # on every call, as a point that raises is never cached
     monkeypatch.setattr(picard, "abelian_v", lambda *args: abelian_v(*args) + 1)
+    picard._segre_point.cache_clear()  # a point cached by an earlier test never sees the patch
     t = min_valid_aux_twist(2, 3, -1, 1)
-    with pytest.raises(ArithmeticError, match=r"^Segre bookkeeping: g \+ N - k = 2, but v = 3$"):
-        ggw_via_segre(2, 3, -1, 1, t, ONE)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"^Segre bookkeeping: g \+ N - k = 2, but v = 3$"):
+            ggw_via_segre(2, 3, -1, 1, t, ONE)
+    assert picard._segre_point.cache_info().currsize == 0
+    monkeypatch.undo()
+    picard._segre_point.cache_clear()
 
 
 @given(st.integers(0, 3), st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -483,6 +495,107 @@ def test_segre_route_matches_closed_form(genus, r0, d, d0, extra):
     v = abelian_v(r0, d, d0, genus)
     for l in picks:
         assert ggw_via_segre(genus, r0, d, d0, t, l) == ggw_abelian(genus, r0, v, l)
+
+
+# -- the per-point cache -----------------------------------------------------
+
+
+def ggw_via_segre_uncached(genus, r0, d, d0, aux_twist, l):
+    """The oracle count in one body with no per-point cache: the reference."""
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
+    if r0 < 1:
+        raise ValueError("target rank must be >= 1")
+    dprime = d - aux_twist
+    if dprime > min(-1, d0) - 2 * genus:
+        raise ValueError(
+            f"aux_twist {aux_twist} too small: twisted degree {dprime} "
+            f"exceeds {min(-1, d0) - 2 * genus}"
+        )
+    k = r0 * aux_twist - d0
+    if k < 0:
+        raise ValueError(f"aux_twist {aux_twist} gives negative section count {k}")
+    big_n = r0 * (1 - genus - dprime) - 1
+    v = abelian_v(r0, d, d0, genus)
+    if genus + big_n - k != v:
+        raise ArithmeticError(f"Segre bookkeeping: g + N - k = {genus + big_n - k}, but v = {v}")
+
+    if v < 0:
+        return 0
+    series = picard._pushforward_segre(genus, r0, dprime)
+    lowest = max(0, genus - v)
+    total = 0
+    for blade, coeff in l.terms.items():
+        if blade and blade[-1] >= 2 * genus:
+            raise ValueError(
+                f"ggw_via_segre: generator index {blade[-1]} out of range for genus {genus}"
+            )
+        idx, odd = divmod(2 * genus - len(blade), 2)
+        if odd or idx < lowest:
+            continue
+        pairing = picard._theta_pairing(genus, blade)
+        if pairing:
+            total += coeff * series[idx] * pairing
+    return total
+
+
+def outcome(route, *args):
+    """A route's value, or the type and text of the error it raised."""
+    try:
+        return route(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+def test_check_grids_read_the_same_with_the_point_cache_cold_and_warm():
+    picard._segre_point.cache_clear()
+    cold = run_all(2, 2, 1)
+    filled = picard._segre_point.cache_info()
+    assert filled.currsize > 0
+    assert run_all(2, 2, 1) == cold
+    warm = picard._segre_point.cache_info()
+    assert warm.currsize == filled.currsize and warm.misses == filled.misses
+
+
+def test_a_cached_point_still_checks_every_blade():
+    # a valid point (v = 2) raises on a blade past the genus, cold or warm;
+    # a point with v < 0 gives 0 on it unchecked, cold or warm
+    picard._segre_point.cache_clear()
+    t = min_valid_aux_twist(2, 2, -1, 1)
+    assert ggw_via_segre(2, 2, -1, 1, t, ONE) == 4
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^ggw_via_segre: generator index 5 out of range for genus 2$"):
+            ggw_via_segre(2, 2, -1, 1, t, Multivector({(0, 5): 1}))
+    assert abelian_v(2, 1, 0, 2) == -3
+    t = min_valid_aux_twist(2, 2, 1, 0)
+    for _ in range(2):
+        assert ggw_via_segre(2, 2, 1, 0, t, Multivector({(0, 5): 1})) == 0
+    info = picard._segre_point.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
+
+
+def dense_forms(genus):
+    """Up to six terms on any blades within the genus, 60-bit coefficients."""
+    blades = st.sets(st.integers(0, 2 * genus - 1), max_size=2 * genus) if genus else st.just(set())
+    terms = st.lists(st.tuples(blades, st.integers(-(2**60), 2**60)), max_size=6)
+    return terms.map(lambda ts: Multivector({tuple(sorted(b)): c for b, c in ts}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(lambda g: st.tuples(st.just(g), dense_forms(g))),
+    st.integers(1, 3),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(-1, 2),
+)
+def test_cached_oracle_matches_the_uncached_body(pair, r0, d, d0, extra):
+    # extra = -1 is a twist one short, which raises on both
+    genus, l = pair
+    t = min_valid_aux_twist(genus, r0, d, d0) + extra
+    want = outcome(ggw_via_segre_uncached, genus, r0, d, d0, t, l)
+    assert outcome(ggw_via_segre, genus, r0, d, d0, t, l) == want  # cold or warm
+    assert outcome(ggw_via_segre, genus, r0, d, d0, t, l) == want  # warm
 
 
 # -- the oracle past the grids' genus bound ----------------------------------
