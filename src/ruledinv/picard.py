@@ -20,17 +20,15 @@ Pfaffian-minor expansion (Ishikawa-Wakayama, "Minor summation formula of
 Pfaffians", Linear Multilinear Algebra 39, 1995): a 2-form with skew
 matrix A has omega^[k] = sum over |S| = 2k of Pf(A_S) e_S, so
 <Theta^[k] ^ e_B, top> = eps(B^c, B) * Pf(A_{B^c}), with eps the shuffle
-sign.  The Pfaffian is exact skew elimination, which never builds
-Theta^[k] and its C(g, k) blades.
+sign.  The Pfaffian is fraction-free elimination (Bareiss 1968; Knuth,
+"Overlapping Pfaffians", 1996), never building Theta^[k]'s C(g, k) blades.
 """
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 
-from .exterior import Combination, Multivector, SurfaceTopology
-from .exterior import merge_blades, theta_class
+from .exterior import Combination, Multivector, merge_blades
 from .indices import abelian_v
 
 __all__ = [
@@ -90,7 +88,8 @@ class ThetaSeries(Combination):
         return self.terms.get(i, 0)
 
     def __repr__(self):
-        # the theta^k coefficients: c/k! for the coefficient c of theta^[k]
+        # theta^k has c/k! for the c of theta^[k]; no request but a repr loads fractions
+        from fractions import Fraction
         plain = [str(Fraction(c, factorial(k))) for k, c in enumerate(self.coeffs)]
         return f"ThetaSeries({plain})"
 
@@ -207,33 +206,35 @@ def min_valid_aux_twist(genus: int, r0: int, d: int, d0: int) -> int:
     return max(bundle_bound, count_bound)
 
 
-def pfaffian(rows) -> Fraction:
-    """Pfaffian of the skew matrix with sparse rows {i: {j: a_ij}}.
+def pfaffian(rows) -> int:
+    """Pfaffian of the integer skew matrix with sparse rows {i: {j: a_ij}}.
 
     Every index keys a row, an empty one too, taken in sorted order, and
-    a row holding a_ij has a_ji = -a_ij in row j.  Exact skew
-    elimination: pivot on the first row i left, at its first nonzero
-    column j; moving j next to i is a cyclic shift of sign (-1)^(pos-1),
-    pos being j's place among the indices left.  Then
-    Pf = sign * a_ij * Pf(S) for the Schur complement S, in which only the
-    rows that meet column i or j change.  A row with nothing left, as
-    the last row of an odd matrix has, makes the Pfaffian 0.
+    a row holding a_ij has a_ji = -a_ij in row j.  By fraction-free skew
+    elimination (Bareiss, Math. Comp. 22, 1968): pivot on the first row
+    i left, at its first nonzero column j, a shift of sign (-1)^(pos-1)
+    for j's place pos among the indices left; then a_kl becomes
+    (a_ij*a_kl + a_jk*a_il - a_ik*a_jl) / (previous pivot), exactly, as
+    each is a Pfaffian (Knuth, "Overlapping Pfaffians", 1996).  The last
+    pivot times the shift signs is Pf.  Off the rows meeting i or j that
+    is a rescaling: an entry keeps the pivot current when written, read
+    as x * last // stamp.  A row with nothing left makes Pf 0.
     """
-    rows = {i: {j: Fraction(a) for j, a in row.items() if a} for i, row in rows.items()}
+    rows = {i: {j: (a, 1) for j, a in row.items() if a} for i, row in rows.items()}
     left = sorted(rows)
-    pf = Fraction(1)
+    sign = last = 1
     while left:
         i = left[0]
         u = rows.pop(i)
         if not u:
-            return Fraction(0)
+            return 0
         j = min(u)
         pos = bisect_left(left, j)
-        a = u.pop(j)
         w = rows.pop(j)
         del w[i], left[pos], left[0]
-        pf *= a if pos & 1 else -a
-        # S_kl = a_kl + (a_jk * a_il - a_ik * a_jl) / a_ij
+        u, w = ({k: x * last // s for k, (x, s) in r.items()} for r in (u, w))
+        a = u.pop(j)
+        sign = sign if pos & 1 else -sign
         met = u.keys() | w.keys()
         for k in met:
             row = rows[k]
@@ -242,31 +243,30 @@ def pfaffian(rows) -> Fraction:
             uk, wk = u.get(k, 0), w.get(k, 0)
             for m in met:
                 if m != k:
-                    x = row.get(m, 0) + (wk * u.get(m, 0) - uk * w.get(m, 0)) / a
+                    x, s = row.get(m, (0, 1))
+                    x = (a * (x * last // s) + wk * u.get(m, 0) - uk * w.get(m, 0)) // last
                     if x:
-                        row[m] = x
+                        row[m] = x, a
                     else:
                         row.pop(m, None)
-    return pf
+        last = a
+    return sign * last
 
 
 @lru_cache(maxsize=4096)
 def _theta_pairing(genus: int, blade: tuple) -> int:
     """<Theta^[k] ^ e_B, top> for the blade B of even grade 2g - 2k within the genus.
 
-    eps(B^c, B) * Pf of Theta's matrix on the complement B^c, the matrix
-    read from the grade-2 blades of theta_class.  Cached: a grid asks
-    for the same few blades at every point.
+    eps(B^c, B) * Pf of Theta's matrix on the complement B^c, built from
+    the handles left whole: a_h ^ b_h is the blade (2h, 2h + 1).  Cached:
+    a grid asks for the same few blades at every point.
     """
     inside = set(blade)
     rows = {i: {} for i in range(2 * genus) if i not in inside}
-    for (i, j), c in theta_class(SurfaceTopology(genus)).terms.items():
-        if i in rows and j in rows:
-            rows[i][j], rows[j][i] = c, -c
-    pf = pfaffian(rows)
-    if pf.denominator != 1:
-        raise ArithmeticError(f"non-integral Pfaffian {pf} on the complement of {blade}")
-    return merge_blades(tuple(rows), blade)[1] * int(pf)
+    for i in rows:
+        if not i & 1 and i + 1 in rows:
+            rows[i][i + 1], rows[i + 1][i] = 1, -1
+    return merge_blades(tuple(rows), blade)[1] * pfaffian(rows)
 
 
 @lru_cache(maxsize=4096)

@@ -659,6 +659,8 @@ def test_request_loads_only_the_layers_it_uses(argv, loaded, unloaded):
     layers = {name.partition(".")[2] for name in modules if name.startswith("ruledinv.")}
     assert loaded <= layers
     assert not unloaded & layers
+    # every value is an int: only ThetaSeries' repr reads fractions
+    assert "fractions" not in modules
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
@@ -327,6 +328,85 @@ def skew_rows(form, indices):
     return rows
 
 
+def fraction_pfaffian(rows) -> Fraction:
+    """The Pfaffian by exact skew elimination over Fraction: the reference."""
+    rows = {i: {j: Fraction(a) for j, a in row.items() if a} for i, row in rows.items()}
+    left = sorted(rows)
+    pf = Fraction(1)
+    while left:
+        i = left[0]
+        u = rows.pop(i)
+        if not u:
+            return Fraction(0)
+        j = min(u)
+        pos = bisect_left(left, j)
+        a = u.pop(j)
+        w = rows.pop(j)
+        del w[i], left[pos], left[0]
+        pf *= a if pos & 1 else -a
+        # S_kl = a_kl + (a_jk * a_il - a_ik * a_jl) / a_ij
+        met = u.keys() | w.keys()
+        for k in met:
+            row = rows[k]
+            row.pop(i, None)
+            row.pop(j, None)
+            uk, wk = u.get(k, 0), w.get(k, 0)
+            for m in met:
+                if m != k:
+                    x = row.get(m, 0) + (wk * u.get(m, 0) - uk * w.get(m, 0)) / a
+                    if x:
+                        row[m] = x
+                    else:
+                        row.pop(m, None)
+    return pf
+
+
+def fraction_det(rows, n):
+    """Determinant of the n x n matrix with sparse rows, by Gaussian elimination over Fraction."""
+    m = [[Fraction(rows[i].get(j, 0)) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+@st.composite
+def skew_matrices(draw, max_size, bits, densities=(0.0, 0.2, 0.5, 1.0)):
+    """Sparse skew rows on n <= max_size indices, odd n and empty rows included."""
+    n = draw(st.integers(0, max_size))
+    density = draw(st.sampled_from(densities))
+    rows = {i: {} for i in range(n)}
+    for i, j in combinations(range(n), 2):
+        if draw(st.floats(0, 1, exclude_max=True)) < density:
+            c = draw(st.integers(-(2**bits), 2**bits))
+            rows[i][j], rows[j][i] = c, -c
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_matrices(12, 3))
+@example({0: {}, 1: {2: 5}, 2: {1: -5}})  # odd, with an empty row
+@example({i: {} for i in range(4)})
+def test_pfaffian_matches_the_fraction_elimination(rows):
+    got = pfaffian(rows)
+    assert type(got) is int and got == fraction_pfaffian(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(skew_matrices(16, 60, densities=(1.0,)))
+def test_pfaffian_squares_to_the_determinant_on_large_dense_entries(rows):
+    assert pfaffian(rows) ** 2 == fraction_det(rows, len(rows))
+
+
 def test_pfaffian_small_cases():
     assert pfaffian({}) == 1
     assert pfaffian({0: {}}) == 0  # odd size
@@ -335,7 +415,10 @@ def test_pfaffian_small_cases():
     # pivot is a02 and moving column 2 next to row 0 flips the sign
     a = {(0, 2): 2, (1, 3): 3, (0, 3): 5, (1, 2): 7, (2, 3): 11}
     assert pfaffian(skew_rows(Multivector(a), range(4))) == -2 * 3 + 5 * 7
-    assert pfaffian({0: {1: Fraction(1, 2)}, 1: {0: Fraction(-1, 2)}}) == Fraction(1, 2)
+    # 60-bit entries stay exact ints: here Pf = a01*a23 - a02*a13
+    b = 2**60
+    a = {(0, 1): b, (0, 2): 3, (1, 3): 1, (2, 3): b + 1}
+    assert pfaffian(skew_rows(Multivector(a), range(4))) == b * (b + 1) - 3
 
 
 def entries_above_the_diagonal(genus):
@@ -369,12 +452,6 @@ def test_theta_pairing_matches_wedge_and_top_pairing(genus):
             power = theta_divided_power(topo, genus - size // 2)
             want = top_pairing(wedge(power, Multivector({blade: 1}), topo), topo)
             assert picard._theta_pairing(genus, blade) == want
-
-
-def test_theta_pairing_refuses_a_fractional_pfaffian(monkeypatch):
-    monkeypatch.setattr(picard, "pfaffian", lambda rows: Fraction(1, 2))
-    with pytest.raises(ArithmeticError, match="^non-integral Pfaffian 1/2 on the complement"):
-        picard._theta_pairing.__wrapped__(1, ())
 
 
 def test_oracle_refuses_a_blade_past_the_genus():
