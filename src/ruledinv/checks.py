@@ -130,17 +130,16 @@ def dictionary_point(d: int, n: int, geom: RuledSurfaceGeometry):
     return chamber, (r0, -d, d0_eff, min_valid_aux_twist(geom.genus, r0, -d, d0_eff))
 
 
-def sw_equals_ggw_check(chamber: tuple, topo: SurfaceTopology, quot: tuple, l: Multivector) -> bool:
-    """One dictionary case: the Seiberg-Witten value on l against the
-    chamber's sign times the Segre oracle's count of the quot problem."""
-    return sw_value(chamber, topo, l) == chamber[0] * picard.ggw_via_segre(topo.genus, *quot, l)
+def sw_equals_ggw_check(chamber: tuple, genus: int, quot: tuple, l: Multivector) -> bool:
+    """One dictionary case at this genus: the Seiberg-Witten value on l against
+    the chamber's sign times the Segre oracle's count of the quot problem."""
+    return sw_value(chamber, genus, l) == chamber[0] * picard.ggw_via_segre(genus, *quot, l)
 
 
 def _dictionary_outcomes(max_genus, max_n, max_deg):
     degrees = range(-max_deg, max_deg + 1)
     for genus in range(max_genus + 1):
-        topo = SurfaceTopology(genus)
-        monomials = basis_monomials(topo)
+        monomials = basis_monomials(SurfaceTopology(genus))
         for d0 in degrees:
             geom = RuledSurfaceGeometry(genus, d0)
             for d, n in product(degrees, range(max_n + 1)):
@@ -153,10 +152,10 @@ def _dictionary_outcomes(max_genus, max_n, max_deg):
                     continue
                 for l in monomials:
                     try:
-                        if quot is not None and sw_equals_ggw_check(chamber, topo, quot, l):
+                        if quot is not None and sw_equals_ggw_check(chamber, genus, quot, l):
                             yield None
                             continue
-                        found = {"sw": sw_value(chamber, topo, l), "pair_with_fibre": chamber[1]}
+                        found = {"sw": sw_value(chamber, genus, l), "pair_with_fibre": chamber[1]}
                     except (ArithmeticError, ValueError) as err:
                         found = {"error": _shown(err)}
                     yield {**where, "l": repr(l), **found}

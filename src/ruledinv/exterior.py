@@ -347,17 +347,15 @@ class Multivector(Combination):
         return f"Multivector({dict(self.items())!r})"
 
 
-def _check_range(x: Multivector, topo: SurfaceTopology, who: str):
-    if x.max_index() >= topo.rank:
-        raise ValueError(
-            f"{who}: generator index {x.max_index()} out of range for genus {topo.genus}"
-        )
+def _check_range(x: Multivector, genus: int, who: str):
+    if x.max_index() >= 2 * genus:
+        raise ValueError(f"{who}: generator index {x.max_index()} out of range for genus {genus}")
 
 
 def wedge(x: Multivector, y: Multivector, topo: SurfaceTopology) -> Multivector:
     """Exterior product x * y: Combination's product, range-checked against topo."""
-    _check_range(x, topo, "wedge")
-    _check_range(y, topo, "wedge")
+    _check_range(x, topo.genus, "wedge")
+    _check_range(y, topo.genus, "wedge")
     return x._product(y)
 
 
@@ -393,7 +391,7 @@ def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
     k must come out exact; blade sums with integer coefficients always
     satisfy this (a k-fold product of distinct blades shows up k! times).
     """
-    _check_range(x, topo, "exp_even")
+    _check_range(x, topo.genus, "exp_even")
     if x.is_zero():
         return Multivector.scalar(1)
     degs = x.degrees()
@@ -407,32 +405,31 @@ def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
 
 def top_pairing(x: Multivector, topo: SurfaceTopology) -> int:
     """Coefficient of the orientation blade a1^b1^...^ag^bg."""
-    _check_range(x, topo, "top_pairing")
+    _check_range(x, topo.genus, "top_pairing")
     return x.coefficient(topo.top_blade())
 
 
-def pair_theta_powers(l: Multivector, topo: SurfaceTopology, scale: int, lowest: int) -> int:
+def pair_theta_powers(l: Multivector, genus: int, scale: int, lowest: int) -> int:
     """Sum over i >= lowest of the top pairing of (scale*Theta)^i/i! with l.
 
-    The one kernel behind the closed forms: the count scales Theta by the
-    target rank, the Seiberg-Witten value by half the fibre pairing, and
-    each truncates below its own lowest power; a lowest below 0 sums
-    them all.  Theta^i/i! is the sum of the i-handle blades, so only
-    handle blades of l, made of whole a_k^b_k pairs, reach the top
-    grade.  A handle blade B pairs to +1 with Theta^i/i! for
-    i = g - |B|/2 alone, since disjoint degree-2 blocks commute; a term
-    c*B adds c*scale^i when i >= lowest.  A lowest past the genus gives 0
+    The one kernel behind the closed forms, which pass the genus they hold:
+    the count scales Theta by the target rank, the Seiberg-Witten value by
+    half the fibre pairing, and each truncates below its own lowest power; a
+    lowest below 0 sums them all.  Theta^i/i! is the sum of the i-handle
+    blades, so only handle blades of l, made of whole a_k^b_k pairs, reach
+    the top grade.  A handle blade B pairs to +1 with Theta^i/i! for
+    i = g - |B|/2 alone, since disjoint degree-2 blocks commute; a term c*B
+    adds c*scale^i when i >= lowest.  A lowest past the genus gives 0
     unchecked, else a blade past the genus raises with l's largest index.
     Increasing entries fill |B|/2 handles exactly when B is a handle blade.
     """
-    genus = topo.genus
     if lowest > genus:
         return 0
     rank = 2 * genus
     total = 0
     for blade, coeff in l.terms.items():
         if blade and blade[-1] >= rank:
-            _check_range(l, topo, "pair_theta_powers")
+            _check_range(l, genus, "pair_theta_powers")
         i, odd = divmod(2 * genus - len(blade), 2)
         if not odd and i >= lowest and len({x >> 1 for x in blade}) == genus - i:
             total += coeff * scale**i
@@ -633,7 +630,7 @@ def parse_multivector(text: str, topo: SurfaceTopology) -> Multivector:
 
 def format_multivector(x: Multivector, topo: SurfaceTopology) -> str:
     """Canonical text form, parseable by parse_multivector."""
-    _check_range(x, topo, "format_multivector")
+    _check_range(x, topo.genus, "format_multivector")
     return format_terms(
         ("^".join(topo.generator_name(i) for i in blade), coeff) for blade, coeff in x.items()
     )

@@ -8,7 +8,7 @@ ruled surface are the same expression run through the index dictionary,
 with the scale read off the fibre pairing of the determinant class.
 """
 
-from .exterior import Multivector, Record, SurfaceTopology, pair_theta_powers
+from .exterior import Multivector, Record, pair_theta_powers
 from .indices import (
     H2Class,
     RuledSurfaceGeometry,
@@ -40,7 +40,7 @@ def ggw_abelian(genus: int, r0: int, v: int, l: Multivector) -> int:
         raise ValueError("genus must be nonnegative")
     if r0 < 1:
         raise ValueError("target rank must be >= 1")
-    return pair_theta_powers(l, SurfaceTopology(genus), r0, genus - v)
+    return pair_theta_powers(l, genus, r0, genus - v)
 
 
 def quot_count(genus: int, r0: int) -> int:
@@ -97,17 +97,16 @@ def sw_chamber(c: H2Class, geom: RuledSurfaceGeometry) -> tuple:
     return (1 if pair > 0 else -1), pair, w_c, pair // 2, genus - w_c // 2
 
 
-def sw_value(chamber: tuple, topo: SurfaceTopology, l: Multivector) -> int:
-    """The signed chamber's Seiberg-Witten value on l, for a chamber from sw_chamber."""
-    sign, _, _, scale, lowest = chamber
-    return sign * pair_theta_powers(l, topo, scale, lowest)
+def sw_value(chamber: tuple, genus: int, l: Multivector) -> int:
+    """The signed chamber's value on l at this genus, for a chamber from sw_chamber."""
+    return chamber[0] * pair_theta_powers(l, genus, *chamber[3:])  # (scale, lowest)
 
 
 def sw_for_class(c: H2Class, geom: RuledSurfaceGeometry, l: Multivector) -> SWResult:
     """Seiberg-Witten values for an arbitrary characteristic class c."""
     chamber = sw_chamber(c, geom)
     sign, pair, w_c, _, _ = chamber
-    return SWResult(sign, sw_value(chamber, SurfaceTopology(geom.genus), l), 0, w_c, c, pair)
+    return SWResult(sign, sw_value(chamber, geom.genus, l), 0, w_c, c, pair)
 
 
 def sw_ruled(d: int, n: int, geom: RuledSurfaceGeometry, l: Multivector) -> SWResult:

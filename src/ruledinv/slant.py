@@ -48,7 +48,7 @@ past MAX_EXPONENT and ranks past MAX_RANK are refused before any work.
 from itertools import combinations
 from operator import add
 
-from .exterior import Combination, Multivector, SurfaceTopology, merge_blades, pair_theta_powers
+from .exterior import Combination, Multivector, merge_blades, pair_theta_powers
 from .exterior import Record, TextSyntaxError, TokenCursor, clip, format_terms
 
 __all__ = [
@@ -330,35 +330,38 @@ def _reduce_slant(cup, base, ctx: AlgebraContext) -> NormalForm:
         if base[0] != "sigma":
             return NormalForm.zero(ctx)
         scale, base = ctx.k0_eval[name], ("pt",)
-    chern = [atom[1] for atom in cup if atom[0] == "c"]
-    no_v = (0,) * (ctx.r - 1)
     every = [0] * ctx.r
-    for i in chern:
+    for i in (atom[1] for atom in cup if atom[0] == "c"):
         every[i - 1] += 1
+    counts = [(i, n) for i, n in enumerate(every, 1) if n]
+    no_v = (0,) * (ctx.r - 1)
 
     def u(*drop):
-        # exponents of the u_i from the atoms not at the positions in drop
+        # the u_i exponents less one atom of each index in drop: terms see indices, not atoms
         exps = every.copy()
-        for m in drop:
-            exps[chern[m] - 1] -= 1
+        for i in drop:
+            exps[i - 1] -= 1
         return tuple(exps)
 
     if base[0] == "pt":
         keys = [((u(), no_v, ()), 1)]
     elif base[0] == "gamma":
-        keys = [((u(m), no_v, ((i, base[1]),)), 1) for m, i in enumerate(chern)]
+        keys = [((u(i), no_v, ((i, base[1]),)), n) for i, n in counts]
     else:
         keys = [
-            ((u(m), no_v, ()), -ctx.scalar_degree) if i == 1
-            else ((u(m), no_v[: i - 2] + (1,) + no_v[i - 1 :], ()), 1)
-            for m, i in enumerate(chern)
+            ((u(i), no_v, ()), -n * ctx.scalar_degree) if i == 1
+            else ((u(i), no_v[: i - 2] + (1,) + no_v[i - 1 :], ()), n)
+            for i, n in counts
         ]
-        for m, n in combinations(range(len(chern)), 2):
-            rest = u(m, n)
+        # the pair sum is symmetric: C(n, 2) atom pairs of one index, none for one atom
+        pairs = [(i, i, n * (n - 1) // 2) for i, n in counts if n > 1]
+        pairs += [(i, i2, n * n2) for (i, n), (i2, n2) in combinations(counts, 2)]
+        for i, i2, weight in pairs:
+            rest = u(i, i2)
             for h in range(1, ctx.genus + 1):
-                for jm, jn, sign in ((2 * h - 1, 2 * h, -1), (2 * h, 2 * h - 1, 1)):
-                    odd, flip = merge_blades(((chern[m], jm),), ((chern[n], jn),))
-                    keys.append(((rest, no_v, odd), sign * flip))
+                for j, j2, sign in ((2 * h - 1, 2 * h, -1), (2 * h, 2 * h - 1, 1)):
+                    odd, flip = merge_blades(((i, j),), ((i2, j2),))
+                    keys.append(((rest, no_v, odd), weight * sign * flip))
     terms = {}
     for key, coeff in keys:
         terms[key] = terms.get(key, 0) + scale * coeff
@@ -437,7 +440,8 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
         raise NotImplementedError("evaluation is only defined for the rank-1 algebra")
     if nf.genus != genus:
         raise ValueError(f"normal form genus {nf.genus} does not match {genus}")
-    topo = SurfaceTopology(genus)  # a negative genus raises here
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
     if r0 < 1:
         raise ValueError("target rank must be >= 1")
     terms = {}
@@ -445,4 +449,4 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
         if 2 * (v - u[0]) == len(odd):
             for blade, c in Multivector.blade([j - 1 for _, j in odd], coeff).terms.items():
                 terms[blade] = terms.get(blade, 0) + c
-    return pair_theta_powers(Multivector()._like(terms), topo, r0, 0)
+    return pair_theta_powers(Multivector()._like(terms), genus, r0, 0)

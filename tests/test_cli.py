@@ -363,11 +363,11 @@ def test_grid_failures_are_counted_and_reported(capsys, monkeypatch):
         got = segre(genus, r0, d, d0, twist, l)
         return got + 1 if (genus, r0, d, d0, l.terms) == (1, 2, -1, 0, handle) else got
 
-    def refuted(chamber, topo, quot, l):
+    def refuted(chamber, genus, quot, l):
         # quot (r0, -d, n(n+1)d0/2, twist) = (2, -1, 0, _) is d = 1, n = 1, d0 = 0 alone
         calls["dictionary"] += 1
-        ok = sw_check(chamber, topo, quot, l)
-        return ok and (topo.genus, quot[:3], l.terms) != (1, (2, -1, 0), handle)
+        ok = sw_check(chamber, genus, quot, l)
+        return ok and (genus, quot[:3], l.terms) != (1, (2, -1, 0), handle)
 
     monkeypatch.setattr(checks, "ggw_via_segre", off_by_one)
     monkeypatch.setattr(checks, "sw_equals_ggw_check", refuted)
@@ -449,8 +449,8 @@ def test_dictionary_grid_catches_a_broken_sw_side(monkeypatch):
 
     kernel, chamber = invariants.pair_theta_powers, checks.sw_chamber
 
-    def kernel_flipped_at_genus_1(l, topo, scale, lowest):
-        return (-1) ** (topo.genus == 1) * kernel(l, topo, scale, lowest)
+    def kernel_flipped_at_genus_1(l, genus, scale, lowest):
+        return (-1) ** (genus == 1) * kernel(l, genus, scale, lowest)
 
     def scale_off_by_one(c, geom):
         sign, pair, w_c, scale, lowest = chamber(c, geom)

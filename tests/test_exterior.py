@@ -407,7 +407,7 @@ def test_pair_theta_powers_matches_wedged_theta_powers(case):
         scale**i * top_pairing(wedge(theta_divided_power(topo, i), l, topo), topo)
         for i in range(max(0, lowest), genus + 1)
     )
-    assert pair_theta_powers(l, topo, scale, lowest) == want
+    assert pair_theta_powers(l, genus, scale, lowest) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -425,7 +425,7 @@ def test_pair_theta_powers_binomial_identity(pair, r0, t):
         l = l + t**k * theta_divided_power(topo, k)
     powers = range(max(0, lowest), genus + 1)
     want = sum(r0**i * t ** (genus - i) * math.comb(genus, i) for i in powers)
-    assert pair_theta_powers(l, topo, r0, lowest) == want
+    assert pair_theta_powers(l, genus, r0, lowest) == want
 
 
 @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
@@ -433,16 +433,15 @@ def test_pair_theta_powers_range_check_in_the_pass(where):
     # the blade with l's largest index, 7, may come anywhere in l's dict
     # order, before or after another blade past genus 2; the message names 7
     # either way, and l is not checked when the lowest power is past the genus
-    topo = SurfaceTopology(2)
     terms = [((0, 1), 2), ((4,), -1)]
     terms.insert(where, ((3, 6, 7), 3))
     l = Multivector(dict(terms))
     assert list(l.terms)[where] == (3, 6, 7)
     message = "pair_theta_powers: generator index 7 out of range for genus 2"
     with pytest.raises(ValueError) as err:
-        pair_theta_powers(l, topo, 3, 0)
+        pair_theta_powers(l, 2, 3, 0)
     assert str(err.value) == message
-    assert pair_theta_powers(l, topo, 3, 3) == 0
+    assert pair_theta_powers(l, 2, 3, 3) == 0
 
 
 def test_oracle_returns_a_plain_int():

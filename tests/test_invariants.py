@@ -157,7 +157,7 @@ def test_sw_equals_ggw_spot_cases():
         (-2, 3, RuledSurfaceGeometry(2, 2), ONE),
     ]:
         chamber, quot = dictionary_point(d, n, geom)
-        assert sw_equals_ggw_check(chamber, SurfaceTopology(geom.genus), quot, l)
+        assert sw_equals_ggw_check(chamber, geom.genus, quot, l)
     with pytest.raises(ValueError):
         dictionary_point(0, -1, RuledSurfaceGeometry(1, 0))
 

@@ -12,6 +12,8 @@ from ruledinv import slant
 from ruledinv.invariants import ggw_abelian
 from ruledinv.exterior import (
     Multivector,
+    clip,
+    merge_blades,
     SurfaceTopology,
     format_terms,
     theta_divided_power,
@@ -438,6 +440,80 @@ def test_reduce_slant_matches_the_recursion():
         cases += not want.is_zero()
     # most cases compare nonzero forms, not zero with zero
     assert cases > 800
+
+
+def atom_pair_reduce(cup, base, ctx: AlgebraContext) -> NormalForm:
+    """The slant reduction over every atom and atom pair of the cup, one term each."""
+    # pulled-back degree-2 classes peel off first: they cap the base
+    scale = 1
+    for name in (atom[1] for atom in cup if atom[0] == "k0"):
+        if name not in ctx.k0_eval:
+            raise ValueError(f"unknown base-class name {clip(repr(name))} in context")
+        if base[0] != "sigma":
+            return NormalForm.zero(ctx)
+        scale, base = ctx.k0_eval[name], ("pt",)
+    chern = [atom[1] for atom in cup if atom[0] == "c"]
+    no_v = (0,) * (ctx.r - 1)
+    every = [0] * ctx.r
+    for i in chern:
+        every[i - 1] += 1
+
+    def u(*drop):
+        # exponents of the u_i from the atoms not at the positions in drop
+        exps = every.copy()
+        for m in drop:
+            exps[chern[m] - 1] -= 1
+        return tuple(exps)
+
+    if base[0] == "pt":
+        keys = [((u(), no_v, ()), 1)]
+    elif base[0] == "gamma":
+        keys = [((u(m), no_v, ((i, base[1]),)), 1) for m, i in enumerate(chern)]
+    else:
+        keys = [
+            ((u(m), no_v, ()), -ctx.scalar_degree) if i == 1
+            else ((u(m), no_v[: i - 2] + (1,) + no_v[i - 1 :], ()), 1)
+            for m, i in enumerate(chern)
+        ]
+        for m, n in combinations(range(len(chern)), 2):
+            rest = u(m, n)
+            for h in range(1, ctx.genus + 1):
+                for jm, jn, sign in ((2 * h - 1, 2 * h, -1), (2 * h, 2 * h - 1, 1)):
+                    odd, flip = merge_blades(((chern[m], jm),), ((chern[n], jn),))
+                    keys.append(((rest, no_v, odd), sign * flip))
+    terms = {}
+    for key, coeff in keys:
+        terms[key] = terms.get(key, 0) + scale * coeff
+    return NormalForm(ctx.r, ctx.genus, terms)
+
+
+
+def test_reduce_slant_matches_the_atom_pair_loop():
+    # long cups with repeated indices, k0 atoms with known and unknown names,
+    # every base: summing over distinct indices gives the atom loop's terms
+    rng = random.Random(2029)
+    cases = 0
+    for _ in range(400):
+        r, genus = rng.randint(1, 3), rng.randint(0, 6)
+        ctx = AlgebraContext(r, genus, rng.randint(-3, 3), {"h": rng.randint(-3, 3), "k": 2})
+        favourite = rng.randint(1, r)
+        cup = tuple(
+            ("k0", rng.choice(["h", "k", "q"])) if rng.random() < 0.05
+            else ("c", favourite if rng.random() < 0.5 else rng.randint(1, r))
+            for _ in range(rng.randint(1, 30))
+        )
+        bases = [("pt",), ("sigma",), ("sigma",)] + [("gamma", j) for j in range(1, 2 * genus + 1)]
+        base = rng.choice(bases)
+        try:
+            want = atom_pair_reduce(cup, base, ctx)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                _reduce_slant(cup, base, ctx)
+            assert str(got.value) == str(err)
+            continue
+        assert _reduce_slant(cup, base, ctx) == want, (cup, base, ctx)
+        cases += not want.is_zero()
+    assert cases > 200
 
 
 # -- structural fuzz ---------------------------------------------------------
