@@ -42,9 +42,10 @@ MAX_CHECK_CASES = 1_000_000
 # cases.  The dictionary grid has as many points (genus, d0, d, n), each with a Segre
 # series of its own quot problem, so one count bounds both.  The default grids have
 # 980, --max-genus 5 has 1,176; the slowest grid under both caps, --max-genus 4
-# --max-r0 600 --max-deg 0, ran in about 0.6 s on 2 CPUs.  The oracle keeps 4,096
-# points with their twist (the default grids visit 2,310); a grid runs one point's
-# cases together, so a larger grid loses only the reuse between its two grids
+# --max-r0 600 --max-deg 0, runs in about 0.6 s on 2 CPUs (median of 7 fresh
+# runs).  The oracle keeps 4,096 points with their twist (the default grids visit
+# 2,310); a grid runs one point's cases together, so a larger grid loses only the
+# reuse between its two grids
 MAX_CHECK_POINTS = 3_000
 
 
@@ -116,12 +117,12 @@ def dictionary_point(d: int, n: int, geom: RuledSurfaceGeometry):
 
     chamber is the sw_chamber of the structure twisted by d*f + n*s; quot
     is ggw_via_segre's (r0, d, d0, aux_twist) for the quot problem the
-    dictionary sends it to, or None when the fibre pairing is not 2n + 2.
-    Raises ArithmeticError when the index identity w_c = 2v fails.
+    dictionary sends it to.  Raises ArithmeticError when the fibre pairing
+    is not 2n + 2 or the index identity w_c = 2v fails.
     """
     chamber = sw_chamber(spinc_det(d, n, geom), geom)
     if chamber[1] != 2 * n + 2:
-        return chamber, None
+        raise ArithmeticError(f"index dictionary: fibre pairing {chamber[1]}, but 2n + 2 = {2 * n + 2}")
     r0 = n + 1
     d0_eff = n * (n + 1) * geom.v0_degree // 2
     v = abelian_v(r0, -d, d0_eff, geom.genus)
@@ -152,10 +153,11 @@ def _dictionary_outcomes(max_genus, max_n, max_deg):
                     continue
                 for l in monomials:
                     try:
-                        if quot is not None and sw_equals_ggw_check(chamber, genus, quot, l):
+                        if sw_equals_ggw_check(chamber, genus, quot, l):
                             yield None
                             continue
-                        found = {"sw": sw_value(chamber, genus, l), "pair_with_fibre": chamber[1]}
+                        oracle = chamber[0] * picard.ggw_via_segre(genus, *quot, l)
+                        found = {"sw": sw_value(chamber, genus, l), "oracle": oracle}
                     except (ArithmeticError, ValueError) as err:
                         found = {"error": _shown(err)}
                     yield {**where, "l": repr(l), **found}

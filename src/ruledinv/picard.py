@@ -219,6 +219,13 @@ def pfaffian(rows) -> int:
     pivot times the shift signs is Pf.  Off the rows meeting i or j that
     is a rescaling: an entry keeps the pivot current when written, read
     as x * last // stamp.  A row with nothing left makes Pf 0.
+
+    The stamps are kept because plain Bareiss, which rescales every
+    entry left whenever the pivot changes, is quadratic where the pivot
+    changes at each step.  It ran Theta's blocks faster (0.57 against
+    0.99 ms at g = 200, on a 2-CPU host), but on 3*Theta, pivots 3, 9,
+    27, ..., it took 24 ms at g = 200 and 1.4 s at g = 800, where
+    stamps take 1 and 4 ms.
     """
     rows = {i: {j: (a, 1) for j, a in row.items() if a} for i, row in rows.items()}
     left = sorted(rows)

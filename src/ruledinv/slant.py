@@ -107,14 +107,16 @@ class SlantSyntaxError(TextSyntaxError):
 class _Parser(TokenCursor):
     """The recursive-descent reader of one text over one context.
 
-    Each distinct leaf text is read and validated once per parse: leaves
-    maps an int, u<i> or v<i> token, or the five tokens after a G as a
-    tuple, to the AST node read from it.  A printed normal form repeats
-    a few leaves over thousands of terms.  Only a leaf that passed every
-    check is stored, so a bad leaf is read afresh each time and fails
-    with the same message at the same position.  Sharing a node is safe,
-    as AST nodes are immutable tuples; the dict dies with the parser, so
-    a leaf is never accepted against another context.
+    Every method reads at the cursor's one position, self.pos, and every
+    expected-token and index-range error comes from TokenCursor's take
+    and check_index.  Each distinct leaf text is read and validated once
+    per parse: leaves maps an int, u<i> or v<i> token, or the five tokens
+    after a G as a tuple, to the AST node read from it.  A printed normal
+    form repeats a few leaves over thousands of terms.  Only a leaf that
+    passed every check is stored, so a bad leaf is read afresh each time
+    and fails with the same message at the same position.  Sharing a node
+    is safe, as AST nodes are immutable tuples; the dict dies with the
+    parser, so a leaf is never accepted against another context.
     """
 
     error = SlantSyntaxError
@@ -138,64 +140,48 @@ class _Parser(TokenCursor):
     def term(self):
         """factor ('*' factor)*, factor := primary ('^' int)*; int, u, v and G read here."""
         tokens, leaves = self.tokens, self.leaves
-        pos = self.pos
         factors = []
         while True:
-            tok = tokens[pos]
+            tok = tokens[self.pos]
             node = leaves.get(tok)
             if node is not None:
-                pos += 1
+                self.pos += 1
             elif tok == "G":
                 # past the end the slice is short, so it is never a stored key
-                key = tuple(tokens[pos + 1 : pos + 6])
+                key = tuple(tokens[self.pos + 1 : self.pos + 6])
                 node = leaves.get(key)
-                if node is None:
-                    r, odd = self.ctx.r, 2 * self.ctx.genus
-                    if tokens[pos + 1] != "[":
-                        raise self.expected("'['", pos + 1)
-                    if not tokens[pos + 2][:1].isdecimal():
-                        raise self.expected("'int'", pos + 2)
-                    i = int(tokens[pos + 2])
-                    if not 1 <= i <= r:
-                        self.check_index("chern", i, r, pos + 2)
-                    if tokens[pos + 3] != ",":
-                        raise self.expected("','", pos + 3)
-                    if not tokens[pos + 4][:1].isdecimal():
-                        raise self.expected("'int'", pos + 4)
-                    j = int(tokens[pos + 4])
-                    if not 1 <= j <= odd:
-                        self.check_index("odd", j, odd, pos + 4)
-                    if tokens[pos + 5] != "]":
-                        raise self.expected("']'", pos + 5)
+                if node is not None:
+                    self.pos += 6
+                else:
+                    self.pos += 1
+                    self.take("[")
+                    i = self.take("int")
+                    self.check_index("chern", i, self.ctx.r, self.pos - 1)
+                    self.take(",")
+                    j = self.take("int")
+                    self.check_index("odd", j, 2 * self.ctx.genus, self.pos - 1)
+                    self.take("]")
                     node = leaves[key] = ("slant", (("c", i),), ("gamma", j))
-                pos += 6
             elif (first := tok[:1]).isdecimal():
                 node = leaves[tok] = ("int", int(tok))
-                pos += 1
+                self.pos += 1
             elif (first == "u" or first == "v") and tok[1:].isdecimal():
                 i = int(tok[1:])
-                if not 1 <= i <= self.ctx.r:
-                    self.check_index("chern", i, self.ctx.r, pos)
+                self.check_index("chern", i, self.ctx.r, self.pos)
                 node = leaves[tok] = ("slant", (("c", i),), ("pt",) if first == "u" else ("sigma",))
-                pos += 1
+                self.pos += 1
             else:
-                self.pos = pos
                 node = self.primary()
-                pos = self.pos
-            if tokens[pos] == "^":
-                self.pos = pos
-                powers = 0
-                while tokens[self.pos] == "^":
-                    powers += 1
-                    self.check_nesting(powers, "'^' in a row")
-                    self.pos += 1
-                    node = ("pow", node, self.take("int"))
-                pos = self.pos
+            powers = 0
+            while tokens[self.pos] == "^":
+                powers += 1
+                self.check_nesting(powers, "'^' in a row")
+                self.pos += 1
+                node = ("pow", node, self.take("int"))
             factors.append(node)
-            if tokens[pos] != "*":
-                self.pos = pos
+            if tokens[self.pos] != "*":
                 return factors[0] if len(factors) == 1 else ("mul", tuple(factors))
-            pos += 1
+            self.pos += 1
 
     def primary(self):
         tok = self.tokens[self.pos]

@@ -394,7 +394,7 @@ def test_grid_failures_are_counted_and_reported(capsys, monkeypatch):
         "d0": 0,
         "l": "Multivector({(0, 1): 1})",
         "sw": 1,
-        "pair_with_fibre": 4,
+        "oracle": 1,
     }
     code, out, _ = run(capsys, ["check", "--max-genus", "1", "--max-r0", "2", "--max-deg", "1"])
     assert code == 1
@@ -461,11 +461,58 @@ def test_dictionary_grid_catches_a_broken_sw_side(monkeypatch):
     flipped = checks.run_dictionary_grid(max_genus=1)
     assert (flipped.cases, flipped.failures) == (980, 196)
     assert flipped.first_counterexample == {
-        "genus": 1, "d": 0, "n": 0, "d0": -3, "l": "Multivector({(): 1})", "sw": -1, "pair_with_fibre": 2
+        "genus": 1, "d": 0, "n": 0, "d0": -3, "l": "Multivector({(): 1})", "sw": -1, "oracle": 1
     }
     monkeypatch.undo()
     monkeypatch.setattr(checks, "sw_chamber", scale_off_by_one)
     assert checks.run_dictionary_grid(max_genus=1).failures == 108
+
+
+def test_dictionary_grid_refuses_a_fibre_pairing_off_the_dictionary(monkeypatch):
+    # the dictionary reads n off the fibre pairing 2n + 2; a chamber whose
+    # pairing is anything else has no quot problem, so every case fails
+    chamber = checks.sw_chamber
+
+    def pair_off_by_two(c, geom):
+        sign, pair, w_c, scale, lowest = chamber(c, geom)
+        return sign, pair + 2, w_c, scale, lowest
+
+    monkeypatch.setattr(checks, "sw_chamber", pair_off_by_two)
+    report = checks.run_dictionary_grid(max_genus=1, max_n=1, max_deg=1)
+    assert (report.cases, report.failures) == (90, 90)
+    assert report.first_counterexample == {
+        "genus": 0,
+        "d": -1,
+        "n": 0,
+        "d0": -1,
+        "l": "Multivector({(): 1})",
+        "error": "ArithmeticError: index dictionary: fibre pairing 4, but 2n + 2 = 2",
+    }
+
+
+def test_oracle_grid_fails_both_twists_where_the_closed_form_raises(monkeypatch):
+    # a closed form that raises equals no oracle value, so both of the
+    # blade's cases fail, and the counterexample shows the error beside the int
+    closed = checks.ggw_abelian
+
+    def raises_at_genus_1(genus, r0, v, l):
+        if genus == 1:
+            raise ArithmeticError("closed form refused")
+        return closed(genus, r0, v, l)
+
+    monkeypatch.setattr(checks, "ggw_abelian", raises_at_genus_1)
+    report = checks.run_oracle_grid(max_genus=1, max_r0=2, max_deg=1)
+    assert (report.cases, report.failures) == (180, 2 * 9 * 4 * 2)  # r0, (d, d0), blades, twists
+    assert report.first_counterexample == {
+        "genus": 1,
+        "r0": 1,
+        "d": -1,
+        "d0": -1,
+        "aux_twist": 2,
+        "l": "Multivector({(): 1})",
+        "closed_form": "ArithmeticError: closed form refused",
+        "oracle": 1,
+    }
 
 
 # -- invariant checks survive python -O --------------------------------------

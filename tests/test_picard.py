@@ -421,6 +421,17 @@ def test_pfaffian_small_cases():
     assert pfaffian(skew_rows(Multivector(a), range(4))) == b * (b + 1) - 3
 
 
+@pytest.mark.parametrize("s", [3, -2, 2**61 - 1])
+def test_pfaffian_of_a_scaled_theta_reads_its_stamps(s):
+    # s*Theta's pivots are s, s^2, ..., s^g, and no step updates an entry,
+    # so every block after the first is read through its stamp of 1
+    genus = 400
+    rows = {}
+    for h in range(genus):
+        rows[2 * h], rows[2 * h + 1] = {2 * h + 1: s}, {2 * h: -s}
+    assert pfaffian(rows) == s**genus
+
+
 def entries_above_the_diagonal(genus):
     size = genus * (2 * genus - 1)
     return st.lists(st.integers(-3, 3), min_size=size, max_size=size)
