@@ -28,6 +28,7 @@ from operator import attrgetter, eq, ge
 from string import ascii_letters
 
 __all__ = [
+    "check_counts",
     "SurfaceTopology",
     "Multivector",
     "merge_blades",
@@ -72,14 +73,21 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def check_counts(genus: int, r0: int = 1):
+    """Refuse a negative genus, then a target rank below 1: every layer's one text."""
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
+    if r0 < 1:
+        raise ValueError("target rank must be >= 1")
+
+
 class SurfaceTopology(Record):
     """Genus bookkeeping for the surface whose H_1 we work over."""
 
     __slots__ = ("genus",)
 
     def __init__(self, genus: int):
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
+        check_counts(genus)
         self.genus = genus
 
     @property
@@ -116,13 +124,8 @@ def merge_blades(x: tuple, y: tuple):
     so the entries behave as anticommuting generators: blades here, odd
     slant classes in the slant algebra.
     """
-    if not x:
-        return y, 1
-    if not y:
-        return x, 1
     merged = []
-    parity = 0
-    i = j = 0
+    parity = i = j = 0
     nx, ny = len(x), len(y)
     while i < nx and j < ny:
         if x[i] == y[j]:
@@ -419,10 +422,12 @@ def pair_theta_powers(l: Multivector, genus: int, scale: int, lowest: int) -> in
     blades, so only handle blades of l, made of whole a_k^b_k pairs, reach
     the top grade.  A handle blade B pairs to +1 with Theta^i/i! for
     i = g - |B|/2 alone, since disjoint degree-2 blocks commute; a term c*B
-    adds c*scale^i when i >= lowest.  A lowest past the genus gives 0
-    unchecked, else a blade past the genus raises with l's largest index.
-    Increasing entries fill |B|/2 handles exactly when B is a handle blade.
+    adds c*scale^i when i >= lowest.  A negative genus raises; a lowest
+    past the genus gives 0 unchecked, else a blade past the genus raises
+    with l's largest index.  Only a handle blade's entries fill |B|/2 handles.
     """
+    if genus < 0:
+        check_counts(genus)
     if lowest > genus:
         return 0
     rank = 2 * genus

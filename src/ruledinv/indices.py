@@ -5,7 +5,7 @@ genus-g curve, and the intersection ring of the projectivization of a
 rank-2 bundle over the curve.  Everything is exact integer arithmetic.
 """
 
-from .exterior import Record
+from .exterior import Record, check_counts
 
 __all__ = [
     "RuledSurfaceGeometry",
@@ -21,10 +21,7 @@ __all__ = [
 
 def abelian_v(r0: int, d: int, d0: int, genus: int) -> int:
     """Rank-1 kernel specialization d0 - r0*d + (r0-1)(1-g)."""
-    if r0 < 1:
-        raise ValueError("target rank must be >= 1")
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
+    check_counts(genus, r0)
     return d0 - r0 * d + (r0 - 1) * (1 - genus)
 
 
@@ -38,8 +35,7 @@ class RuledSurfaceGeometry(Record):
     __slots__ = ("genus", "v0_degree")
 
     def __init__(self, genus: int, v0_degree: int):
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
+        check_counts(genus)
         self.genus, self.v0_degree = genus, v0_degree
 
 

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from math import comb, factorial, perm
 
-from .exterior import Combination, Multivector, merge_blades
+from .exterior import Combination, Multivector, check_counts, merge_blades
 from .indices import abelian_v
 
 __all__ = [
@@ -63,8 +63,8 @@ class ThetaSeries(Combination):
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r} is not an int")
-        if genus is not None and genus < 0:
-            raise ValueError("genus must be nonnegative")
+        if genus is not None:
+            check_counts(genus)
         self.genus = len(coeffs) - 1 if genus is None else genus
         if self.genus < 0:
             raise ValueError("need at least the constant coefficient")
@@ -111,8 +111,7 @@ class KunnethClass(Combination):
     __slots__ = ("genus",)
 
     def __init__(self, terms, genus: int):
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
+        check_counts(genus)
         for m, c in terms.items():
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r} is not an int")
@@ -165,10 +164,7 @@ def grr_pushforward(dprime: int, r0: int, genus: int) -> ThetaSeries:
     Pairs the universal character with the curve's Todd correction
     1 + (1-g)*eta before integrating, then scales by the target rank.
     """
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    if r0 < 1:
-        raise ValueError("target rank must be >= 1")
+    check_counts(genus, r0)
     todd = KunnethClass({(0, 0): 1, (0, 2): 1 - genus}, genus)
     return r0 * integrate_sigma(poincare_chern(dprime, genus) * todd)
 
@@ -201,6 +197,7 @@ def _pushforward_segre(genus: int, r0: int, dprime: int) -> ThetaSeries:
 
 def min_valid_aux_twist(genus: int, r0: int, d: int, d0: int) -> int:
     """Smallest twist meeting the pushforward and section-count bounds."""
+    check_counts(genus, r0)
     bundle_bound = d - min(-1, d0) + 2 * genus
     count_bound = -((-d0) // r0)  # ceil(d0 / r0)
     return max(bundle_bound, count_bound)
@@ -211,9 +208,9 @@ def pfaffian(rows) -> int:
 
     Every index keys a row, an empty one too, taken in sorted order, and
     a row holding a_ij has a_ji = -a_ij in row j.  By fraction-free skew
-    elimination (Bareiss, Math. Comp. 22, 1968): pivot on the first row
-    i left, at its first nonzero column j, a shift of sign (-1)^(pos-1)
-    for j's place pos among the indices left; then a_kl becomes
+    elimination (Bareiss, Math. Comp. 22, 1968): pivot on the last row
+    i left, at its last nonzero column j, a shift of sign (-1)^(pos+1)
+    for j's place pos among the other indices left; then a_kl becomes
     (a_ij*a_kl + a_jk*a_il - a_ik*a_jl) / (previous pivot), exactly, as
     each is a Pfaffian (Knuth, "Overlapping Pfaffians", 1996).  The last
     pivot times the shift signs is Pf.  Off the rows meeting i or j that
@@ -231,14 +228,14 @@ def pfaffian(rows) -> int:
     left = sorted(rows)
     sign = last = 1
     while left:
-        i = left[0]
+        i = left.pop()
         u = rows.pop(i)
         if not u:
             return 0
-        j = min(u)
+        j = max(u)
         pos = bisect_left(left, j)
         w = rows.pop(j)
-        del w[i], left[pos], left[0]
+        del w[i], left[pos]
         u, w = ({k: x * last // s for k, (x, s) in r.items()} for r in (u, w))
         a = u.pop(j)
         sign = sign if pos & 1 else -sign
@@ -286,10 +283,7 @@ def _segre_point(genus: int, r0: int, d: int, d0: int, aux_twist: int):
     on every call.  A caller that rebinds this module's abelian_v clears
     the cache, or the points it holds keep the old v.
     """
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    if r0 < 1:
-        raise ValueError("target rank must be >= 1")
+    check_counts(genus, r0)
     dprime = d - aux_twist
     if dprime > min(-1, d0) - 2 * genus:
         raise ValueError(

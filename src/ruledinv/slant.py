@@ -49,7 +49,7 @@ from itertools import combinations
 from operator import add
 
 from .exterior import Combination, Multivector, merge_blades, pair_theta_powers
-from .exterior import Record, TextSyntaxError, TokenCursor, clip, format_terms
+from .exterior import Record, TextSyntaxError, TokenCursor, check_counts, clip, format_terms
 
 __all__ = [
     "AlgebraContext",
@@ -78,8 +78,7 @@ class AlgebraContext(Record):
             raise ValueError("rank must be >= 1")
         if r > MAX_RANK:
             raise ValueError(f"rank {clip(str(r))} is over the limit of {MAX_RANK}")
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
+        check_counts(genus)
         self.r, self.genus, self.scalar_degree = r, genus, scalar_degree
         self.k0_eval = {} if k0_eval is None else k0_eval
 
@@ -289,7 +288,7 @@ class NormalForm(Combination):
                 return None
             odd, sign = hit
         else:
-            # merge_blades returns the other part as it is, unsorted too
+            # an empty odd part leaves the other as it is
             odd, sign = o1 or o2, 1
         return (tuple(map(add, u1, u2)), tuple(map(add, v1, v2)), odd), sign
 
@@ -426,10 +425,9 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
         raise NotImplementedError("evaluation is only defined for the rank-1 algebra")
     if nf.genus != genus:
         raise ValueError(f"normal form genus {nf.genus} does not match {genus}")
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    if r0 < 1:
-        raise ValueError("target rank must be >= 1")
+    # inline for the same reason as in ggw_abelian: one call per evaluation
+    if genus < 0 or r0 < 1:
+        check_counts(genus, r0)
     terms = {}
     for (u, _v, odd), coeff in nf.terms.items():
         if 2 * (v - u[0]) == len(odd):

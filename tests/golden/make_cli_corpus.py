@@ -77,6 +77,9 @@ def error_requests():
         ["quot-count", "--genus", "5200", "--r0", "7"],
         ["sw", "--genus", "1", "--d", "1", "--n", "1", "--deg-v0", "0", "--form", "9" * 5000],
         ["normalize", "--genus", "1", "--k0", "h=" + "1" * 5000, "u1"],
+        # a character no token class takes, in a form and in slant text
+        ["ggw", "--genus", "1", "--r0", "1", "--v", "1", "--form", "a1 $ b1"],
+        ["normalize", "--genus", "1", "u1 @ u1"],
     ]
 
 
@@ -136,6 +139,10 @@ def hand_written():
         ["sw", "--genus", "3", "--d", "-4", "--n", "-3", "--deg-v0", "2", "--form", "a1^b1 - a2^b2"],
         ["ggw", "--genus", "3", "--r0", "2", "--v", "-1", "--form", "a1^b1"],
         ["ggw", "--genus", "2", "--r0", "2", "--v", "2", "--chamber", "empty", "--form", "a1^b2"],
+        # unsorted blades, which Multivector.blade signs by their sorting permutation
+        ["ggw", "--genus", "2", "--r0", "2", "--v", "2", "--form", "b1^a1 - 2*b2^a2^b1^a1"],
+        # an odd power, which normalize's square-and-multiply multiplies by its base
+        ["normalize", "--r", "3", "--genus", "1", "(u1+u2+u3)^7"],
     ]
     for max_genus, max_r0, max_deg in product((0, 1, 2), (1, 2), (0, 1)):
         out.append(["check", "--max-genus", str(max_genus), "--max-r0", str(max_r0),

@@ -1,14 +1,18 @@
+import inspect
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ruledinv
 from ruledinv.exterior import (
     Multivector,
     SurfaceTopology,
     TextSyntaxError,
+    check_counts,
     exp_even,
     format_multivector,
     pair_theta_powers,
@@ -19,10 +23,17 @@ from ruledinv.exterior import (
     wedge,
 )
 from ruledinv.checks import CheckReport
-from ruledinv.indices import H2Class, RuledSurfaceGeometry
-from ruledinv.invariants import sw_ruled
-from ruledinv.picard import KunnethClass, ggw_via_segre, min_valid_aux_twist
-from ruledinv.slant import AlgebraContext, parse_expr
+from ruledinv.indices import H2Class, RuledSurfaceGeometry, abelian_v
+from ruledinv.invariants import ggw_abelian, quot_count, sw_ruled, sw_value
+from ruledinv.picard import (
+    KunnethClass,
+    ThetaSeries,
+    ggw_via_segre,
+    grr_pushforward,
+    min_valid_aux_twist,
+    poincare_chern,
+)
+from ruledinv.slant import AlgebraContext, NormalForm, evaluate_abelian, parse_expr
 
 
 def mv(genus, *specs):
@@ -452,6 +463,55 @@ def test_oracle_returns_a_plain_int():
     paired = ggw_via_segre(genus, r0, d, d0, twist, Multivector({(): 1, (0, 1): 3}))
     assert type(skipped) is int and skipped == 0
     assert type(paired) is int and paired != 0
+
+
+# -- the one refusal of a bad genus or target rank ---------------------------
+
+ONE = Multivector.scalar(1)
+# every public entry that takes a genus, called as f(genus, r0), and
+# whether it takes a target rank too.  Below genus 0 the kernel's lowest
+# power is never past the genus: l = 1 would pair to 2**-1 at scale 2,
+# and divide by zero at the chamber's scale 0
+COUNT_ENTRIES = {
+    "check_counts": (check_counts, True),
+    "SurfaceTopology": (lambda g, r0: SurfaceTopology(g), False),
+    "pair_theta_powers": (lambda g, r0: pair_theta_powers(ONE, g, 2, -5), False),
+    "RuledSurfaceGeometry": (lambda g, r0: RuledSurfaceGeometry(g, 0), False),
+    "abelian_v": (lambda g, r0: abelian_v(r0, 0, 0, g), True),
+    "ggw_abelian": (lambda g, r0: ggw_abelian(g, r0, 0, ONE), True),
+    "quot_count": (quot_count, True),
+    "sw_value": (lambda g, r0: sw_value((1, 0, 0, 0, -3), g, ONE), False),
+    "ThetaSeries": (lambda g, r0: ThetaSeries([1], g), False),
+    "KunnethClass": (lambda g, r0: KunnethClass({}, g), False),
+    "poincare_chern": (lambda g, r0: poincare_chern(0, g), False),
+    "grr_pushforward": (lambda g, r0: grr_pushforward(0, r0, g), True),
+    "min_valid_aux_twist": (lambda g, r0: min_valid_aux_twist(g, r0, 0, 0), True),
+    "ggw_via_segre": (lambda g, r0: ggw_via_segre(g, r0, -1, 0, 10, ONE), True),
+    "AlgebraContext": (lambda g, r0: AlgebraContext(1, g), False),
+    "evaluate_abelian": (lambda g, r0: evaluate_abelian(NormalForm(1, g), g, r0, 0), True),
+}
+GENUS = "^genus must be nonnegative$"
+RANK = "^target rank must be >= 1$"
+REFUSALS = [(name, -1, 1, GENUS) for name in COUNT_ENTRIES]
+for name, (_, takes_rank) in COUNT_ENTRIES.items():
+    if takes_rank:
+        # the genus is named first when both are bad
+        REFUSALS += [(name, 1, 0, RANK), (name, -1, 0, GENUS)]
+
+
+@pytest.mark.parametrize(
+    "name, genus, r0, message", REFUSALS, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in REFUSALS]
+)
+def test_every_entry_refuses_a_bad_genus_or_rank_in_one_text(name, genus, r0, message):
+    with pytest.raises(ValueError, match=message):
+        COUNT_ENTRIES[name][0](genus, r0)
+
+
+def test_the_refusal_texts_are_written_in_check_counts_alone():
+    package = Path(ruledinv.__file__).parent
+    source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+    for text in ("genus must be nonnegative", "target rank must be >= 1"):
+        assert source.count(text) == 1 and text in inspect.getsource(check_counts)
 
 
 # -- the value classes -------------------------------------------------------
