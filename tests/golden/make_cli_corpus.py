@@ -42,7 +42,10 @@ def seeded_mix():
 
 
 def error_requests():
-    """The exit-2 requests of test_cli.py: domain, parse, flag and digit-limit errors."""
+    """Exit-2 requests: domain, parse, flag and digit-limit errors.
+
+    test_cli.py holds every exit-2 line of the corpus to the one-line contract.
+    """
     return [
         ["evaluate", "--r", "2", "--genus", "1", "--r0", "2", "--v", "0", "u1"],
         ["normalize", "--genus", "1", "u1 +"],
@@ -80,6 +83,23 @@ def error_requests():
         # a character no token class takes, in a form and in slant text
         ["ggw", "--genus", "1", "--r0", "1", "--v", "1", "--form", "a1 $ b1"],
         ["normalize", "--genus", "1", "u1 @ u1"],
+        # grids past checks.MAX_CHECK_CASES or checks.MAX_CHECK_POINTS
+        ["check", "--max-genus", "6"],
+        ["check", "--max-genus", "0", "--max-deg", "0", "--max-r0", "1000000"],
+        ["check", "--max-genus", "1000000000"],
+        ["check", "--max-genus", "0", "--max-deg", "0", "--max-r0", "30000"],
+        # powers past slant.MAX_EXPONENT, ranks past slant.MAX_RANK and a rank of 0
+        ["normalize", "--genus", "1", "4^99999999999999999999"],
+        ["normalize", "--genus", "1", "u1^1000001"],
+        ["normalize", "--r", "1001", "--genus", "1", "u1"],
+        ["normalize", "--r", "100000000", "--genus", "1", "u1"],
+        ["normalize", "--r", "0", "--genus", "1", "u1"],
+        # an expr or a --form that argparse takes for a flag, or a --form left bare
+        ["normalize", "--genus", "1", "-u1"],
+        ["ggw", "--genus", "1", "--r0", "2", "--v", "1", "--form"],
+        # a slant bracket with no base class after its bar, or no cup atom before it
+        ["normalize", "--genus", "1", "<c1|x>"],
+        ["normalize", "--genus", "1", "<q1|pt>"],
     ]
 
 
@@ -141,6 +161,14 @@ def hand_written():
         ["ggw", "--genus", "2", "--r0", "2", "--v", "2", "--chamber", "empty", "--form", "a1^b2"],
         # unsorted blades, which Multivector.blade signs by their sorting permutation
         ["ggw", "--genus", "2", "--r0", "2", "--v", "2", "--form", "b1^a1 - 2*b2^a2^b1^a1"],
+        # and one with a repeated generator, which is zero
+        ["ggw", "--genus", "2", "--r0", "2", "--v", "2", "--form", "a1^b1^a1 + 3*b2^a2"],
+        # the echoed lines of test_cli.py's test_echo_frozen_lines
+        ["ggw-bundle", "--genus", "2", "--r0", "2", "--deg-e", "-1", "--deg-e0", "0",
+         "--chamber", "empty", "--form", "a1^b1 + 2*a2^b2 - a1^b1"],
+        ["quot-count", "--genus", "3", "--r0", "2"],
+        ["evaluate", "--genus", "1", "--r0", "2", "--v", "1", "--k0", "h=3", "--k0", "e=-2",
+         "<k0[h]|S>*u1 + <k0[e]|S>"],
         # an odd power, which normalize's square-and-multiply multiplies by its base
         ["normalize", "--r", "3", "--genus", "1", "(u1+u2+u3)^7"],
     ]

@@ -173,56 +173,34 @@ def test_evaluate(capsys):
     assert json.loads(out)["result"]["value"] == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["evaluate", "--r", "2", "--genus", "1", "--r0", "2", "--v", "0", "u1"],
-        ["normalize", "--genus", "1", "u1 +"],
-        ["normalize", "--genus", "1", "--k0", "h", "u1"],
-        ["normalize", "--genus", "1", "--k0", "h=x", "u1"],
-        ["ggw", "--genus", "1", "--r0", "2", "--v", "0", "--form", "a1^"],
-        ["ggw", "--genus", "-1", "--r0", "2", "--v", "0"],
-        ["quot-count", "--genus", "2", "--r0", "0"],
-        ["normalize", "--genus", "1", "(" * 250 + "u1" + ")" * 250],
-        ["normalize", "--genus", "1", "u1" + "^1" * 3000],
-        ["evaluate", "--genus", "1", "--r0", "1", "--v", "0", "<" + ".".join(["c1"] * 3000) + "|pt>"],
-        ["normalize", "--genus", "1", "(u1"],
-        ["ggw", "--genus", "1", "--r0", "2", "--v", "0", "--form", "2*"],
-        # over-long words, indices and --k0 items are echoed cut to 40 characters
-        ["normalize", "--genus", "1", "u1+" + "a" * 4000],
-        ["ggw", "--genus", "1", "--r0", "1", "--v", "1", "--form", "a" + "9" * 4000],
-        ["normalize", "--genus", "1", "u" + "9" * 4000],
-        ["normalize", "--genus", "1", "G[1," + "9" * 4000 + "]"],
-        ["normalize", "--genus", "1", "u1 " + "a" * 4000],
-        ["normalize", "--genus", "1", "<k0[" + "a" * 4000 + "]|S>"],
-        ["normalize", "--genus", "1", "--k0", "h=" + "1" * 5000 + "x", "u1"],
-        ["normalize", "--genus", "1", "--k0", "h" * 5000, "u1"],
-        ["normalize", "--genus", "1", "--k0", "h" * 5000 + "=" + "1" * 5000, "u1"],
-        # a --k0 name given twice, or one that no k0[...] can refer to
-        ["normalize", "--genus", "1", "--k0", "h=1", "--k0", "h=2", "u1"],
-        ["normalize", "--genus", "1", "--k0", "h = 3", "u1"],
-        # bounds that leave a check grid empty would pass with nothing checked
-        ["check", "--max-genus", "-1"],
-        ["check", "--max-r0", "0"],
-        ["check", "--max-deg", "-1"],
-        # grids past checks.MAX_CHECK_CASES are refused before any case runs,
-        # a huge genus without building 4^genus
-        ["check", "--max-genus", "6"],
-        ["check", "--max-genus", "0", "--max-deg", "0", "--max-r0", "1000000"],
-        ["check", "--max-genus", "1000000000"],
-        # and grids past checks.MAX_CHECK_POINTS, as each oracle point builds
-        # its own Segre series
-        ["check", "--max-genus", "0", "--max-deg", "0", "--max-r0", "30000"],
-        # powers past slant.MAX_EXPONENT and ranks past slant.MAX_RANK are
-        # refused before the algebra runs
-        ["normalize", "--genus", "1", "4^99999999999999999999"],
-        ["normalize", "--genus", "1", "u1^1000001"],
-        ["normalize", "--r", "1001", "--genus", "1", "u1"],
-        ["normalize", "--r", "100000000", "--genus", "1", "u1"],
-    ],
-)
-def test_domain_and_parse_errors_exit_2(capsys, argv):
-    code, out, err = run(capsys, argv)
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
+# the refusals of the byte contract, each written once, in make_cli_corpus.py
+REFUSALS = [
+    want["argv"] for want in map(json.loads, GOLDEN.read_text().splitlines()) if want["exit"] == 2
+]
+
+
+@pytest.fixture
+def corpus_digit_limit():
+    # the int/str digit limit the corpus was written under, which digit-limit messages name
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", REFUSALS)
+def test_domain_and_parse_errors_exit_2(capsys, corpus_digit_limit, argv):
+    code = exit_code(argv)
+    out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
@@ -277,27 +255,15 @@ def test_flag_errors_exit_2(capsys, argv):
     assert len(out.err) < 200
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
-
-
-def test_cli_corpus_replays_byte_identical(capsys):
+def test_cli_corpus_replays_byte_identical(capsys, corpus_digit_limit):
     # the committed byte contract, written by tests/golden/make_cli_corpus.py
-    # under the digit limit pinned here, which digit-limit messages name
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
     changed = []
-    try:
-        for line in GOLDEN.read_text().splitlines():
-            want = json.loads(line)
-            try:
-                code = main(want["argv"])
-            except SystemExit as exc:
-                code = exc.code
-            out = capsys.readouterr()
-            if (code, out.out, out.err) != (want["exit"], want["stdout"], want["stderr"]):
-                changed.append(exterior.clip(" ".join(want["argv"])))
-    finally:
-        sys.set_int_max_str_digits(limit)
+    for line in GOLDEN.read_text().splitlines():
+        want = json.loads(line)
+        code = exit_code(want["argv"])
+        out = capsys.readouterr()
+        if (code, out.out, out.err) != (want["exit"], want["stdout"], want["stderr"]):
+            changed.append(exterior.clip(" ".join(want["argv"])))
     assert changed == []
 
 
