@@ -64,7 +64,7 @@ def _respond(args) -> int:
 
     inputs repeats every flag as parsed, with --form in canonical text
     and --k0 as a sorted table.  The handler finds --form parsed in
-    args.form and, for slant expressions, the context in args.ctx; it
+    args.form and a slant expression's normal form in args.nf; it
     returns the result dict.
     """
     inputs = {k: v for k, v in vars(args).items() if k not in ("cmd", "run")}
@@ -72,12 +72,13 @@ def _respond(args) -> int:
         topo = SurfaceTopology(args.genus)
         args.form = parse_multivector(args.form, topo)
     if "expr" in inputs:
-        from .slant import AlgebraContext
+        from .slant import AlgebraContext, normalize, parse_expr
 
         if args.cmd == "evaluate" and args.r != 1:
             raise ValueError("evaluate only supports the rank-1 algebra (--r 1)")
         inputs["k0"] = dict(sorted(_parse_k0(args.k0).items()))
-        args.ctx = AlgebraContext(args.r, args.genus, args.scalar_degree, inputs["k0"])
+        ctx = AlgebraContext(args.r, args.genus, args.scalar_degree, inputs["k0"])
+        args.nf = normalize(parse_expr(args.expr, ctx), ctx)
     result = args.run(args)
     if "form" in inputs:
         inputs["form"] = format_multivector(args.form, topo)
@@ -95,11 +96,9 @@ def _cmd_ggw(args):
 
 def _cmd_ggw_bundle(args):
     from .indices import abelian_v
-    from .invariants import ggw_abelian
 
-    v = abelian_v(args.r0, args.deg_e, args.deg_e0, args.genus)
-    value = 0 if args.chamber == "empty" else ggw_abelian(args.genus, args.r0, v, args.form)
-    return {"v": v, "value": value}
+    args.v = abelian_v(args.r0, args.deg_e, args.deg_e0, args.genus)
+    return {"v": args.v, **_cmd_ggw(args)}
 
 
 def _cmd_sw(args):
@@ -124,18 +123,16 @@ def _cmd_quot_count(args):
 
 
 def _cmd_normalize(args):
-    from .slant import normalize, parse_expr, print_normal
+    from .slant import print_normal
 
-    nf = normalize(parse_expr(args.expr, args.ctx), args.ctx)
-    return {"normal_form": print_normal(nf)}
+    return {"normal_form": print_normal(args.nf)}
 
 
 def _cmd_evaluate(args):
-    from .slant import evaluate_abelian, normalize, parse_expr, print_normal
+    from .slant import evaluate_abelian
 
-    nf = normalize(parse_expr(args.expr, args.ctx), args.ctx)
-    value = evaluate_abelian(nf, args.genus, args.r0, args.v)
-    return {"normal_form": print_normal(nf), "value": value}
+    value = evaluate_abelian(args.nf, args.genus, args.r0, args.v)
+    return {**_cmd_normalize(args), "value": value}
 
 
 def _cmd_check(args):
@@ -156,6 +153,12 @@ def _cmd_check(args):
     }
 
 
+def _add_ints(sub, *names):
+    # in the given order, which argparse's "required" messages follow
+    for name in names:
+        sub.add_argument(name, type=int, required=True)
+
+
 def _add_form_flag(sub):
     sub.add_argument("--form", default="1", help="multivector like '2*a1^b1 - a2^b2 + 3'")
 
@@ -171,7 +174,7 @@ def _add_chamber_flag(sub):
 
 def _add_slant_flags(sub):
     sub.add_argument("--r", type=int, default=1, help="number of Chern generators")
-    sub.add_argument("--genus", type=int, required=True)
+    _add_ints(sub, "--genus")
     sub.add_argument("--scalar-degree", type=int, default=0)
     sub.add_argument(
         "--k0",
@@ -203,33 +206,24 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="cmd", required=True)
 
     p = subs.add_parser("ggw", help="closed-form count at explicit v")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--r0", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
+    _add_ints(p, "--genus", "--r0", "--v")
     _add_form_flag(p)
     _add_chamber_flag(p)
     p.set_defaults(run=_cmd_ggw)
 
     p = subs.add_parser("ggw-bundle", help="count from bundle degrees")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--r0", type=int, required=True)
-    p.add_argument("--deg-e", type=int, required=True)
-    p.add_argument("--deg-e0", type=int, required=True)
+    _add_ints(p, "--genus", "--r0", "--deg-e", "--deg-e0")
     _add_form_flag(p)
     _add_chamber_flag(p)
     p.set_defaults(run=_cmd_ggw_bundle)
 
     p = subs.add_parser("sw", help="Seiberg-Witten values on the ruled surface")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--deg-v0", type=int, required=True)
+    _add_ints(p, "--genus", "--d", "--n", "--deg-v0")
     _add_form_flag(p)
     p.set_defaults(run=_cmd_sw)
 
     p = subs.add_parser("quot-count", help="count in the zero-dimensional regime")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--r0", type=int, required=True)
+    _add_ints(p, "--genus", "--r0")
     p.set_defaults(run=_cmd_quot_count)
 
     p = subs.add_parser("normalize", help="normal form of a slant expression")
@@ -238,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("evaluate", help="normalize then evaluate in the rank-1 algebra")
     _add_slant_flags(p)
-    p.add_argument("--r0", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
+    _add_ints(p, "--r0", "--v")
     p.set_defaults(run=_cmd_evaluate)
 
     p = subs.add_parser("check", help="run the cross-validation grids")

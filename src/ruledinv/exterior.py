@@ -24,7 +24,7 @@ import re
 import sys
 from functools import lru_cache
 from itertools import combinations, islice
-from operator import attrgetter, eq, ge
+from operator import attrgetter, ge
 from string import ascii_letters
 
 __all__ = [
@@ -269,11 +269,6 @@ class Combination(Record):
     def degrees(self):
         return {self.monomial_degree(m) for m in self.terms}
 
-    def homogeneous_part(self, degree: int):
-        return self._like(
-            {m: c for m, c in self.terms.items() if self.monomial_degree(m) == degree}
-        )
-
 
 class Multivector(Combination):
     """Sparse integer element of the exterior algebra; monomials are blades.
@@ -317,27 +312,18 @@ class Multivector(Combination):
     def blade(cls, indices, coeff: int = 1) -> "Multivector":
         """Blade from possibly unsorted indices; zero on a repeated index.
 
-        The sign is the parity of the permutation that sorts the indices,
-        as the generators anticommute.  One sort, then one pass over the
-        cycles of that permutation: O(m log m) for m indices, and sorted
-        input skips the pass.
+        Strictly increasing indices go through the constructor as they
+        are.  Others are the wedge of their two halves' blades, so
+        merge_blades signs them by the permutation that sorts them, as the
+        generators anticommute: O(m log m) for m indices.
         """
         indices = tuple(indices)
-        blade = tuple(sorted(indices))
-        if any(map(eq, blade, blade[1:])):
+        if not any(map(ge, indices, indices[1:])):
+            return cls({indices: coeff})
+        if len(set(indices)) < len(indices):
             return cls.zero()
-        if blade == indices:
-            return cls({blade: coeff})
-        place = {index: n for n, index in enumerate(blade)}
-        perm = [place[index] for index in indices]
-        # each swap sends one entry to its place and flips the sign:
-        # m minus the number of cycles swaps in all
-        for n in range(len(perm)):
-            while perm[n] != n:
-                k = perm[n]
-                perm[n], perm[k] = perm[k], k
-                coeff = -coeff
-        return cls({blade: coeff})
+        half = len(indices) // 2
+        return cls.blade(indices[:half], coeff) * cls.blade(indices[half:])
 
     def coefficient(self, blade) -> int:
         return self.terms.get(tuple(blade), 0)
@@ -371,7 +357,7 @@ def theta_class(topo: SurfaceTopology) -> Multivector:
 def theta_divided_power(topo: SurfaceTopology, k: int) -> Multivector:
     """Theta^k/k!: the sum of all k-handle orientation blades.
 
-    Agrees with exp_even(theta_class(topo)).homogeneous_part(2k); distinct
+    Agrees with the degree-2k terms of exp_even(theta_class(topo)); distinct
     a_i^b_i blocks commute, so each k-subset of handles contributes one
     blade with coefficient +1.  Neither route builds it: the closed forms
     read handle blades, the Segre oracle pairs through a Pfaffian.  The
