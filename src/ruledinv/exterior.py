@@ -11,11 +11,12 @@ Generators carry flat indices 0..2g-1 with a_k at 2(k-1) and b_k at
 
 Multivector, the slant algebra's NormalForm and the Segre oracle's
 ThetaSeries and KunnethClass share one sparse core, Combination, with
-one bilinear product and one truncated exponential.  Validation happens
-where terms enter: the public constructors and the parsers.  Results
-built from terms that are already valid (wedge, sums, scalings, theta
-and its powers, exponentials) come through the one trusted
-Combination._like.  Every value class is a __slots__ class on Record:
+one truncated exponential and one bilinear product, product_terms, a
+loop over two term dicts that normalize in the slant layer calls too.
+Validation happens where terms enter: the public constructors and the
+parsers.  Results built from terms that are already valid (wedge, sums,
+scalings, theta and its powers, exponentials) come through the one
+trusted Combination._like.  Every value class is a __slots__ class on Record:
 the small ones of every layer (SurfaceTopology here), and Combination,
 whose subclasses' own __slots__ are their shape.
 """
@@ -32,6 +33,7 @@ __all__ = [
     "SurfaceTopology",
     "Multivector",
     "merge_blades",
+    "product_terms",
     "wedge",
     "theta_class",
     "theta_divided_power",
@@ -143,6 +145,25 @@ def merge_blades(x: tuple, y: tuple):
     return tuple(merged), (-1 if parity else 1)
 
 
+def product_terms(x: dict, y: dict, merge) -> dict:
+    """The bilinear product of two term dicts, without its zero terms.
+
+    Each pair of monomials multiplies through merge, a merge_monomials
+    hook: (monomial, multiplier), or None when the product vanishes.
+    Combination's product and the slant layer's normalize both call it,
+    so the algebra has one product loop.
+    """
+    terms = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            hit = merge(m1, m2)
+            if hit is None:
+                continue
+            m, factor = hit
+            terms[m] = terms.get(m, 0) + factor * c1 * c2
+    return {m: c for m, c in terms.items() if c}
+
+
 class Combination(Record):
     """Sparse exact combination of monomials, with its arithmetic.
 
@@ -159,10 +180,10 @@ class Combination(Record):
       relations for picard's KunnethClass.
 
     x * n scales by an int n, and exact_div divides by one.  x * y, for
-    y of x's type and shape, is the bilinear product: each pair of terms
-    multiplies through merge_monomials.  Any other operand is a
-    TypeError.  x.exp(one, who) is the truncated exponential of a
-    nilpotent x.
+    y of x's type and shape, is the bilinear product, product_terms over
+    the two term dicts: each pair of terms multiplies through
+    merge_monomials.  Any other operand is a TypeError.  x.exp(one, who)
+    is the truncated exponential of a nilpotent x.
 
     Public constructors and parsers validate; everything computed from
     valid operands comes through _like.
@@ -206,16 +227,7 @@ class Combination(Record):
 
     def _product(self, other):
         """The bilinear product of self and other; shapes are not checked."""
-        merge = self.merge_monomials
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                hit = merge(m1, m2)
-                if hit is None:
-                    continue
-                m, factor = hit
-                terms[m] = terms.get(m, 0) + factor * c1 * c2
-        return self._like(terms)
+        return self._like(product_terms(self.terms, other.terms, self.merge_monomials))
 
     def __mul__(self, other):
         if isinstance(other, int):

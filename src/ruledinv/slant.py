@@ -42,13 +42,14 @@ The u/v/G forms and the optional leading sign are what print_normal
 emits, so printing parses back.  At most MAX_NESTING parentheses nest,
 '^' follow one primary and atoms share one cup; deeper text is a syntax
 error rather than a stack overflow in parsing or normalizing.  Powers
-past MAX_EXPONENT and ranks past MAX_RANK are refused before any work.
+past MAX_EXPONENT, ranks past MAX_RANK and S-slants of more than
+MAX_SLANT_TERMS terms are refused before any work.
 """
 
 from itertools import combinations
 from operator import add
 
-from .exterior import Combination, Multivector, merge_blades, pair_theta_powers
+from .exterior import Combination, Multivector, merge_blades, pair_theta_powers, product_terms
 from .exterior import Record, TextSyntaxError, TokenCursor, check_counts, clip, format_terms
 
 __all__ = [
@@ -97,6 +98,9 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1_000_000
 # every normal-form key holds r-tuples, so the rank is in the cost of each term
 MAX_RANK = 1000
+# an S-slant's terms grow with its index pairs times the genus; <c1.c1|S> at g = 10^6
+# takes seconds and prints 29 MB, and it is counted before it is expanded
+MAX_SLANT_TERMS = 1_000_000
 
 
 class SlantSyntaxError(TextSyntaxError):
@@ -306,110 +310,153 @@ class NormalForm(Combination):
         return f"NormalForm(r={self.r}, genus={self.genus}, {print_normal(self)!r})"
 
 
-def _reduce_slant(cup, base, ctx: AlgebraContext) -> NormalForm:
-    # pulled-back degree-2 classes peel off first: they cap the base
-    scale = 1
-    for name in (atom[1] for atom in cup if atom[0] == "k0"):
-        if name not in ctx.k0_eval:
-            raise ValueError(f"unknown base-class name {clip(repr(name))} in context")
-        if base[0] != "sigma":
-            return NormalForm.zero(ctx)
-        scale, base = ctx.k0_eval[name], ("pt",)
+def _reduce_slant(cup, base, ctx: AlgebraContext) -> dict:
+    """The slant of one cup over base, as a term dict with no zero coefficient.
+
+    One loop reads the cup: c atoms are counted by index, and each k0
+    name, which must be in ctx, caps the base, so it takes a sigma base
+    to pt times its integral and any other base to zero.  Terms see
+    indices, not atoms: each distinct index m takes one atom off u_m,
+    with the atoms' count n_m as its weight.  The S-slant's pair sum
+    runs over distinct index pairs, weighted C(n, 2) for one index and
+    n_m n_p for two; it has at most (index pairs) * 2g + (indices) terms,
+    refused past MAX_SLANT_TERMS before any is built.
+    """
     every = [0] * ctx.r
-    for i in (atom[1] for atom in cup if atom[0] == "c"):
-        every[i - 1] += 1
-    counts = [(i, n) for i, n in enumerate(every, 1) if n]
+    scale, kind = 1, base[0]
+    for tag, arg in cup:
+        if tag == "c":
+            every[arg - 1] += 1
+        elif tag == "k0":
+            if arg not in ctx.k0_eval:
+                raise ValueError(f"unknown base-class name {clip(repr(arg))} in context")
+            # pulled-back degree-2 classes cap the base
+            if kind != "sigma":
+                return {}
+            scale, kind = ctx.k0_eval[arg], "pt"
     no_v = (0,) * (ctx.r - 1)
-
-    def u(*drop):
-        # the u_i exponents less one atom of each index in drop: terms see indices, not atoms
-        exps = every.copy()
-        for i in drop:
-            exps[i - 1] -= 1
-        return tuple(exps)
-
-    if base[0] == "pt":
-        keys = [((u(), no_v, ()), 1)]
-    elif base[0] == "gamma":
-        keys = [((u(i), no_v, ((i, base[1]),)), n) for i, n in counts]
-    else:
-        keys = [
-            ((u(i), no_v, ()), -n * ctx.scalar_degree) if i == 1
-            else ((u(i), no_v[: i - 2] + (1,) + no_v[i - 1 :], ()), n)
-            for i, n in counts
-        ]
-        # the pair sum is symmetric: C(n, 2) atom pairs of one index, none for one atom
-        pairs = [(i, i, n * (n - 1) // 2) for i, n in counts if n > 1]
-        pairs += [(i, i2, n * n2) for (i, n), (i2, n2) in combinations(counts, 2)]
-        for i, i2, weight in pairs:
-            rest = u(i, i2)
-            for h in range(1, ctx.genus + 1):
-                for j, j2, sign in ((2 * h - 1, 2 * h, -1), (2 * h, 2 * h - 1, 1)):
-                    odd, flip = merge_blades(((i, j),), ((i2, j2),))
-                    keys.append(((rest, no_v, odd), weight * sign * flip))
+    if kind == "pt":
+        return {(tuple(every), no_v, ()): scale} if scale else {}
+    # a k0 atom left the base at pt or returned, so scale is 1 from here on
+    counts = [(i, n) for i, n in enumerate(every, 1) if n]
     terms = {}
-    for key, coeff in keys:
-        terms[key] = terms.get(key, 0) + scale * coeff
-    return NormalForm(ctx.r, ctx.genus, terms)
+    if kind == "gamma":
+        for i, n in counts:
+            every[i - 1] -= 1
+            terms[tuple(every), no_v, ((i, base[1]),)] = n
+            every[i - 1] += 1
+        return terms
+    # the pair sum is symmetric: C(n, 2) atom pairs of one index, none for one atom
+    pairs = [(i, i, n * (n - 1) // 2) for i, n in counts if n > 1]
+    pairs += [(i, i2, n * n2) for (i, n), (i2, n2) in combinations(counts, 2)]
+    if len(pairs) * 2 * ctx.genus + len(counts) > MAX_SLANT_TERMS:
+        raise ValueError(f"S-slant expands to more than the limit of {MAX_SLANT_TERMS} terms")
+    for i, n in counts:
+        every[i - 1] -= 1
+        if i > 1:
+            terms[tuple(every), no_v[: i - 2] + (1,) + no_v[i - 1 :], ()] = n
+        elif ctx.scalar_degree:
+            terms[tuple(every), no_v, ()] = -n * ctx.scalar_degree
+        every[i - 1] += 1
+    for i, i2, weight in pairs:
+        every[i - 1] -= 1
+        every[i2 - 1] -= 1
+        rest = tuple(every)
+        every[i - 1] += 1
+        every[i2 - 1] += 1
+        for h in range(1, ctx.genus + 1):
+            for j, j2, sign in ((2 * h - 1, 2 * h, -weight), (2 * h, 2 * h - 1, weight)):
+                # G[i,j]*G[i2,j2] in that order: kept if sorted, else swapped at the opposite sign
+                left, right = (i, j), (i2, j2)
+                if left < right:
+                    key, coeff = (rest, no_v, (left, right)), sign
+                else:
+                    key, coeff = (rest, no_v, (right, left)), -sign
+                terms[key] = terms.get(key, 0) + coeff
+    return terms
 
 
 def normalize(expr, ctx: AlgebraContext) -> NormalForm:
-    """Rewrite an AST into its normal form over ctx."""
+    """Rewrite an AST into its normal form over ctx.
+
+    The recursion works on plain {key: coeff} dicts, with no zero
+    coefficient, and builds one NormalForm at the end.  Products go
+    through exterior.product_terms with NormalForm.merge_monomials, read
+    here at call time.
+    """
+    return NormalForm(ctx.r, ctx.genus, _normal_terms(expr, ctx, NormalForm.merge_monomials))
+
+
+def _normal_terms(expr, ctx: AlgebraContext, merge) -> dict:
+    """normalize's term dict for one AST node, with no zero coefficient."""
     tag = expr[0]
+    if tag == "slant":
+        return _reduce_slant(expr[1], expr[2], ctx)
     if tag == "int":
-        return NormalForm.scalar(ctx, expr[1])
+        return NormalForm.scalar(ctx, expr[1]).terms
     if tag == "add":
-        return NormalForm.zero(ctx).signed_sum((s, normalize(node, ctx)) for s, node in expr[1])
+        terms = {}
+        for sign, node in expr[1]:
+            for key, coeff in _normal_terms(node, ctx, merge).items():
+                terms[key] = terms.get(key, 0) + sign * coeff
+        return {key: coeff for key, coeff in terms.items() if coeff}
     if tag == "mul":
-        out = normalize(expr[1][0], ctx)
+        out = _normal_terms(expr[1][0], ctx, merge)
         for node in expr[1][1:]:
-            out = out * normalize(node, ctx)
+            out = product_terms(out, _normal_terms(node, ctx, merge), merge)
         return out
     if tag == "pow":
         if expr[2] < 0:
             raise ValueError(f"negative power {expr[2]}")
         if expr[2] > MAX_EXPONENT:
             raise ValueError(f"power {clip(str(expr[2]))} is over the limit of {MAX_EXPONENT}")
-        base, e = normalize(expr[1], ctx), expr[2]
+        base, e = _normal_terms(expr[1], ctx, merge), expr[2]
         if e == 0:
-            return NormalForm.scalar(ctx, 1)
+            return NormalForm.scalar(ctx, 1).terms
         # out = base^k over e's bits from the top.  Squaring costs |out|^2 merges, k more
         # factors of base about k*|out|*|base|: a wider power (a sum's, soon) grows by base.
         out, k = base, 1
         for bit in bin(e)[3:]:
-            if len(out.terms) <= k * len(base.terms):
-                out = out * out
+            if len(out) <= k * len(base):
+                out = product_terms(out, out, merge)
             else:
                 for _ in range(k):
-                    out = out * base
-            out, k = (out * base, 2 * k + 1) if bit == "1" else (out, 2 * k)
+                    out = product_terms(out, base, merge)
+            out, k = (product_terms(out, base, merge), 2 * k + 1) if bit == "1" else (out, 2 * k)
         return out
-    if tag == "slant":
-        return _reduce_slant(tuple(expr[1]), tuple(expr[2]), ctx)
     raise ValueError(f"unknown node tag {tag!r}")
 
 
 def print_normal(nf: NormalForm) -> str:
     """Canonical text form; parse_expr of the output normalizes back to nf.
 
-    Terms come in items() order, each body its u, v and G factors joined
-    by '*'.  The u/v text of each distinct (u, v) pair is built once per
-    call, as many terms share it and differ in their odd part only; a
-    string is immutable, so sharing it changes no byte of the output.
+    Terms come in items() order, by degree then key, each body its u, v
+    and G factors joined by '*'.  The u/v text and the even degree of
+    each distinct (u, v) pair are worked out once per call, as many terms
+    share them and differ in their odd part only; a term's degree adds
+    2i - 1 for each G[i,j].  The terms are then sorted once, as tuples
+    led by (degree, key); keys are distinct, so no comparison goes past
+    the key.  A string is immutable, so sharing one changes no byte.
     """
     even = {}
-    terms = []
-    for (u, v, odd), coeff in nf.items():
-        body = even.get((u, v))
-        if body is None:
+    rows = []
+    for key, coeff in nf.terms.items():
+        u, v, odd = key
+        hit = even.get((u, v))
+        if hit is None:
             parts = [f"u{i}^{e}" if e > 1 else f"u{i}" for i, e in enumerate(u, 1) if e]
             parts += [f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in enumerate(v, 2) if e]
-            body = even[u, v] = "*".join(parts)
+            # u_k and v_{k+1} both have degree 2k
+            degree = sum([2 * k * e for k, e in enumerate(map(add, u, v + (0,)), 1)])
+            hit = even[u, v] = (degree, "*".join(parts))
+        degree, body = hit
         if odd:
+            degree += sum([2 * i - 1 for i, _ in odd])
             g = "*".join([f"G[{i},{j}]" for i, j in odd])
             body = f"{body}*{g}" if body else g
-        terms.append((body, coeff))
-    return format_terms(terms)
+        rows.append((degree, key, body, coeff))
+    rows.sort()
+    return format_terms([(body, coeff) for _, _, body, coeff in rows])
 
 
 def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:

@@ -94,6 +94,8 @@ def error_requests():
         ["normalize", "--r", "1001", "--genus", "1", "u1"],
         ["normalize", "--r", "100000000", "--genus", "1", "u1"],
         ["normalize", "--r", "0", "--genus", "1", "u1"],
+        # an S-slant of 2 * 10^7 + 1 terms, past slant.MAX_SLANT_TERMS
+        ["normalize", "--genus", "10000000", "<c1.c1|S>"],
         # an expr or a --form that argparse takes for a flag, or a --form left bare
         ["normalize", "--genus", "1", "-u1"],
         ["ggw", "--genus", "1", "--r0", "2", "--v", "1", "--form"],

@@ -436,7 +436,7 @@ def test_reduce_slant_matches_the_recursion():
                 _reduce_slant(cup, base, ctx)
             assert str(got.value) == str(err)
             continue
-        assert _reduce_slant(cup, base, ctx) == want, (cup, base, ctx)
+        assert NormalForm(ctx.r, ctx.genus, _reduce_slant(cup, base, ctx)) == want, (cup, base, ctx)
         cases += not want.is_zero()
     # most cases compare nonzero forms, not zero with zero
     assert cases > 800
@@ -511,9 +511,29 @@ def test_reduce_slant_matches_the_atom_pair_loop():
                 _reduce_slant(cup, base, ctx)
             assert str(got.value) == str(err)
             continue
-        assert _reduce_slant(cup, base, ctx) == want, (cup, base, ctx)
+        assert NormalForm(ctx.r, ctx.genus, _reduce_slant(cup, base, ctx)) == want, (cup, base, ctx)
         cases += not want.is_zero()
     assert cases > 200
+
+
+def test_s_slant_term_cap(monkeypatch):
+    # c1.c2.c1 over S at genus 3: index pairs (1, 1) and (1, 2) give 2 * 2 * 3
+    # pair terms, and two indices give two more
+    ctx = AlgebraContext(r=2, genus=3, scalar_degree=1)
+    cup, base = (("c", 1), ("c", 2), ("c", 1)), ("sigma",)
+    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 14)
+    assert NormalForm(ctx.r, ctx.genus, _reduce_slant(cup, base, ctx)) == atom_pair_reduce(cup, base, ctx)
+    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 13)
+    with pytest.raises(ValueError, match="^S-slant expands to more than the limit of 13 terms$"):
+        _reduce_slant(cup, base, ctx)
+    # one term past the cap at a genus no expansion could reach: the count comes first
+    huge = AlgebraContext(r=1, genus=10**18)
+    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 2 * 10**18)
+    with pytest.raises(ValueError, match="more than the limit"):
+        _reduce_slant((("c", 1), ("c", 1)), base, huge)
+    # the other bases and a capped base never expand, so the cap does not apply
+    nf = norm("<c1.c1|pt> + <c1.c1|g1> + <k0[h].c1.c1|S>", AlgebraContext(1, 10**18, 0, {"h": 1}))
+    assert print_normal(nf) == "2*u1*G[1,1] + 2*u1^2"
 
 
 # -- structural fuzz ---------------------------------------------------------
@@ -627,6 +647,90 @@ def test_product_matches_the_sorted_merge():
         # an odd part times an empty one comes back as it was, unsorted too
         nf, one = constructor_form(rng, ctx, sort=False), NormalForm.scalar(ctx, 1)
         assert nf * one == nf == one * nf
+
+
+def reference_normalize(expr, ctx):
+    """normalize node by node, one NormalForm per node, each slant by atom pairs."""
+    tag = expr[0]
+    if tag == "int":
+        return NormalForm.scalar(ctx, expr[1])
+    if tag == "add":
+        return NormalForm.zero(ctx).signed_sum((s, reference_normalize(node, ctx)) for s, node in expr[1])
+    if tag == "mul":
+        out = reference_normalize(expr[1][0], ctx)
+        for node in expr[1][1:]:
+            out = out * reference_normalize(node, ctx)
+        return out
+    if tag == "pow":
+        if expr[2] < 0:
+            raise ValueError(f"negative power {expr[2]}")
+        if expr[2] > MAX_EXPONENT:
+            raise ValueError(f"power {clip(str(expr[2]))} is over the limit of {MAX_EXPONENT}")
+        base, e = reference_normalize(expr[1], ctx), expr[2]
+        if e == 0:
+            return NormalForm.scalar(ctx, 1)
+        out, k = base, 1
+        for bit in bin(e)[3:]:
+            if len(out.terms) <= k * len(base.terms):
+                out = out * out
+            else:
+                for _ in range(k):
+                    out = out * base
+            out, k = (out * base, 2 * k + 1) if bit == "1" else (out, 2 * k)
+        return out
+    if tag == "slant":
+        return atom_pair_reduce(tuple(expr[1]), tuple(expr[2]), ctx)
+    raise ValueError(f"unknown node tag {tag!r}")
+
+
+def random_ast(rng, ctx, depth=0):
+    """An AST over ctx: ints with 0 among them, slants with known and unknown
+    k0 names, sums, products and powers, of sums too."""
+    roll = rng.random()
+    if depth >= 3 or roll < 0.45:
+        if rng.random() < 0.2:
+            return ("int", rng.choice([0, 0, 1, -2, rng.randint(-9, 9)]))
+        cup = tuple(
+            ("k0", rng.choice("hkq")) if rng.random() < 0.15 else ("c", rng.randint(1, ctx.r))
+            for _ in range(rng.randint(1, 3))
+        )
+        bases = [("pt",), ("sigma",), ("sigma",)] + [("gamma", j) for j in range(1, 2 * ctx.genus + 1)]
+        return ("slant", cup, rng.choice(bases))
+    if roll < 0.65:
+        parts = tuple((rng.choice((1, -1)), random_ast(rng, ctx, depth + 1)) for _ in range(rng.randint(1, 3)))
+        return ("add", parts)
+    if roll < 0.85:
+        return ("mul", tuple(random_ast(rng, ctx, depth + 1) for _ in range(rng.randint(2, 3))))
+    base = random_ast(rng, ctx, depth + 1)
+    if rng.random() < 0.5:
+        base = ("add", ((1, base), (rng.choice((1, -1)), random_ast(rng, ctx, depth + 1))))
+    return ("pow", base, rng.randint(0, 3))
+
+
+def test_normalize_matches_the_node_by_node_route():
+    # the term-dict recursion against one NormalForm per node: equal forms, the
+    # same printed bytes as the per-term sort of items(), the same error text
+    rng = random.Random(2213)
+    nonzero = sum_powers = errors = 0
+    for _ in range(600):
+        ctx = AlgebraContext(
+            rng.randint(1, 3), rng.randint(0, 4), rng.randint(-3, 3), {"h": rng.randint(-2, 2), "k": 3}
+        )
+        expr = random_ast(rng, ctx)
+        try:
+            want = reference_normalize(expr, ctx)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                normalize(expr, ctx)
+            assert str(got.value) == str(err)
+            errors += 1
+            continue
+        got = normalize(expr, ctx)
+        assert got == want, expr
+        assert print_normal(got) == reference_print(want), expr
+        nonzero += not want.is_zero()
+        sum_powers += repr(expr).count("('pow', ('add'")
+    assert nonzero > 300 and sum_powers > 50 and errors > 30, (nonzero, sum_powers, errors)
 
 
 def test_slant_degree_bookkeeping():
