@@ -16,7 +16,8 @@ import os
 import re
 import sys
 
-from .exterior import WORD, SurfaceTopology, clip, format_int, format_multivector, parse_multivector
+from .exterior import WORD, SurfaceTopology, _too_many_digits, clip, format_int
+from .exterior import format_multivector, parse_multivector
 
 _SAFE_MAX = 2**53 - 1
 _INT_TEXT = re.compile(r"\s*[+-]?\d+\s*")
@@ -45,8 +46,7 @@ def _parse_k0(pairs):
         except ValueError:
             if _INT_TEXT.fullmatch(value):
                 # a well-formed integer that int() refuses is past the digit limit
-                limit = sys.get_int_max_str_digits()
-                why = f"for {clip(repr(name))}, integer has more than {limit} decimal digits"
+                why = f"for {clip(repr(name))}, {_too_many_digits()}"
             else:
                 why = f"in {clip(repr(item))}, expected an integer"
             raise ValueError(f"bad --k0 value {why}") from None
@@ -119,6 +119,11 @@ def _cmd_sw(args):
 def _cmd_quot_count(args):
     from .invariants import quot_count
 
+    # r0 >= 2^(bits - 1), so past this budget r0^genus >= 16^limit > 10^limit could
+    # not print: refuse before the power; a bad genus or rank is quot_count's to refuse
+    limit = sys.get_int_max_str_digits()
+    if limit and args.r0 > 1 and args.genus * (args.r0.bit_length() - 1) >= 4 * limit:
+        raise ValueError(_too_many_digits())
     return {"value": quot_count(args.genus, args.r0)}
 
 

@@ -47,14 +47,8 @@ class H2Class(Record):
     def __init__(self, s: int, f: int):
         self.s, self.f = s, f
 
-    def __add__(self, other):
-        return H2Class(self.s + other.s, self.f + other.f)
-
     def __sub__(self, other):
         return H2Class(self.s - other.s, self.f - other.f)
-
-    def __rmul__(self, n: int):
-        return H2Class(n * self.s, n * self.f)
 
 
 def intersect(x: H2Class, y: H2Class, geom: RuledSurfaceGeometry) -> int:

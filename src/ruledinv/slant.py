@@ -267,10 +267,6 @@ class NormalForm(Combination):
         self.terms = {key: coeff for key, coeff in (terms or {}).items() if coeff}
 
     @classmethod
-    def zero(cls, ctx: AlgebraContext) -> "NormalForm":
-        return cls(ctx.r, ctx.genus)
-
-    @classmethod
     def scalar(cls, ctx: AlgebraContext, n: int) -> "NormalForm":
         return cls(ctx.r, ctx.genus, {((0,) * ctx.r, (0,) * (ctx.r - 1), ()): n})
 
@@ -297,17 +293,17 @@ class NormalForm(Combination):
         return (tuple(map(add, u1, u2)), tuple(map(add, v1, v2)), odd), sign
 
     def monomial_degree(self, key) -> int:
-        # u_k and v_{k+1} both have degree 2k, G[i,j] has degree 2i-1
+        # G[i,j] has degree 2i - 1
         u, v, odd = key
-        deg = -len(odd)
-        for k, e in enumerate(map(add, u, v + (0,)), 1):
-            deg += 2 * k * e
-        for i, _ in odd:
-            deg += 2 * i
-        return deg
+        return _even_degree(u, v) + sum([2 * i - 1 for i, _ in odd])
 
     def __repr__(self):
         return f"NormalForm(r={self.r}, genus={self.genus}, {print_normal(self)!r})"
+
+
+def _even_degree(u, v) -> int:
+    """Degree of a key's u and v exponents: u_k and v_{k+1} both have degree 2k."""
+    return sum([2 * k * e for k, e in enumerate(map(add, u, v + (0,)), 1)])
 
 
 def _reduce_slant(cup, base, ctx: AlgebraContext) -> dict:
@@ -446,9 +442,7 @@ def print_normal(nf: NormalForm) -> str:
         if hit is None:
             parts = [f"u{i}^{e}" if e > 1 else f"u{i}" for i, e in enumerate(u, 1) if e]
             parts += [f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in enumerate(v, 2) if e]
-            # u_k and v_{k+1} both have degree 2k
-            degree = sum([2 * k * e for k, e in enumerate(map(add, u, v + (0,)), 1)])
-            hit = even[u, v] = (degree, "*".join(parts))
+            hit = even[u, v] = (_even_degree(u, v), "*".join(parts))
         degree, body = hit
         if odd:
             degree += sum([2 * i - 1 for i, _ in odd])

@@ -78,6 +78,8 @@ def error_requests():
         ["nonsense"],
         [],
         ["quot-count", "--genus", "5200", "--r0", "7"],
+        # a count refused before its power is taken, which ran past 60 s when it was not
+        ["quot-count", "--genus", "100000000", "--r0", "3"],
         ["sw", "--genus", "1", "--d", "1", "--n", "1", "--deg-v0", "0", "--form", "9" * 5000],
         ["normalize", "--genus", "1", "--k0", "h=" + "1" * 5000, "u1"],
         # a character no token class takes, in a form and in slant text

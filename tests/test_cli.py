@@ -215,6 +215,8 @@ def test_domain_and_parse_errors_exit_2(capsys, corpus_digit_limit, argv):
         (["quot-count", "--genus", "5200", "--r0", "7"], "decimal digits"),
         (["sw", "--genus", "1", "--d", "1", "--n", "1", "--deg-v0", "0", "--form", "9" * 5000], "position 0"),
         (["normalize", "--genus", "1", "--k0", "h=" + "1" * 5000, "u1"], "decimal digits"),
+        # refused before the power is taken, so it answers at once
+        (["quot-count", "--genus", "100000000", "--r0", "3"], "decimal digits"),
     ],
 )
 def test_digit_limit_is_named(capsys, argv, tail):
@@ -226,6 +228,21 @@ def test_digit_limit_is_named(capsys, argv, tail):
     assert err.rstrip().endswith(tail)
     assert "set_int_max_str_digits" not in err
     assert len(err) < 200  # the over-long text is not repeated
+
+
+@pytest.mark.parametrize("genus,r0,limit", [(14284, 2, 4300), (9012, 3, 4300), (17200, 2, 0), (5000, 9, 0)])
+def test_quot_count_budget_passes_every_count_that_prints(capsys, genus, r0, limit):
+    # the budget refuses only r0^genus >= 16^limit, so a count of exactly
+    # limit digits prints, as does any count under a limit of 0
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, out, err = run(capsys, ["quot-count", "--genus", str(genus), "--r0", str(r0)])
+        value = int(json.loads(out)["result"]["value"]) if code == 0 else None
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, err) == (0, "")
+    assert value == r0**genus
 
 
 @pytest.mark.parametrize(

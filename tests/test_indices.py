@@ -54,9 +54,9 @@ def test_intersection_ring_relations():
 )
 def test_intersect_symmetric_bilinear(xs, xf, ys, yf, genus, d0):
     geom = RuledSurfaceGeometry(genus, d0)
-    x, y = H2Class(xs, xf), H2Class(ys, yf)
+    x, y, xy = H2Class(xs, xf), H2Class(ys, yf), H2Class(xs + ys, xf + yf)
     assert intersect(x, y, geom) == intersect(y, x, geom)
-    assert intersect(x + y, x + y, geom) == (
+    assert intersect(xy, xy, geom) == (
         intersect(x, x, geom) + 2 * intersect(x, y, geom) + intersect(y, y, geom)
     )
 
@@ -82,7 +82,7 @@ def test_spinc_det_is_twice_the_twist_minus_canonical():
     # reference: 2(d*f + n*s) - K through the class arithmetic
     for genus, d0, d, n in product(range(5), range(-3, 4), range(-3, 4), range(-3, 4)):
         geom = RuledSurfaceGeometry(genus, d0)
-        assert spinc_det(d, n, geom) == 2 * H2Class(n, d) - canonical_class(geom)
+        assert spinc_det(d, n, geom) == H2Class(2 * n, 2 * d) - canonical_class(geom)
 
 
 @given(st.integers(-4, 4), st.integers(-2, 4), st.integers(0, 4), st.integers(-4, 4))
@@ -93,7 +93,8 @@ def test_spinc_fibre_pairing_is_2n_plus_2(d, n, genus, d0):
 
 def test_index_wc_examples():
     g0 = RuledSurfaceGeometry(0, 0)
-    assert index_wc(-1 * canonical_class(g0), g0) == 0
+    k = canonical_class(g0)
+    assert index_wc(H2Class(-k.s, -k.f), g0) == 0
     assert index_wc(H2Class(4, 2), RuledSurfaceGeometry(1, 0)) == 4
 
 

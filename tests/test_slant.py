@@ -253,7 +253,7 @@ def test_pulled_back_classes_cap_sigma():
 
 
 def test_print_forms():
-    assert print_normal(NormalForm.zero(CTX22)) == "0"
+    assert print_normal(NormalForm(CTX22.r, CTX22.genus)) == "0"
     assert print_normal(norm("0*u1", CTX22)) == "0"
     assert print_normal(norm("u1^0", CTX22)) == "1"
     assert print_normal(norm("u1*u1", CTX22)) == "u1^2"
@@ -350,7 +350,7 @@ def test_context_shape_mismatch():
             with pytest.raises(ValueError, match="different contexts"):
                 op()
         assert x != y and y != x
-        assert NormalForm.zero(other) != NormalForm.zero(CTX22)
+        assert NormalForm(other.r, other.genus) != NormalForm(CTX22.r, CTX22.genus)
     # a multivector and a normal form are different kinds of combination
     m = Multivector.scalar(1)
     one = NormalForm.scalar(CTX22, 1)
@@ -382,14 +382,14 @@ def reference_reduce(cup, base, ctx):
             if name not in ctx.k0_eval:
                 raise ValueError(f"unknown base-class name {name!r} in context")
             if base[0] != "sigma":
-                return NormalForm.zero(ctx)
+                return NormalForm(ctx.r, ctx.genus)
             rest = cup[:pos] + cup[pos + 1 :]
             return ctx.k0_eval[name] * reference_reduce(rest, ("pt",), ctx)
     if not cup:
         # the empty cup is the unit class; it only sees the point
         if base[0] == "pt":
             return NormalForm.scalar(ctx, 1)
-        return NormalForm.zero(ctx)
+        return NormalForm(ctx.r, ctx.genus)
     if len(cup) == 1:
         i = cup[0][1]
         if base[0] == "pt":
@@ -407,7 +407,7 @@ def reference_reduce(cup, base, ctx):
     out = out + reference_reduce(head, ("pt",), ctx) * reference_reduce(tail, base, ctx)
     if base[0] == "gamma":
         return out
-    corr = NormalForm.zero(ctx)
+    corr = NormalForm(ctx.r, ctx.genus)
     for h in range(1, ctx.genus + 1):
         odd1, odd2 = ("gamma", 2 * h - 1), ("gamma", 2 * h)
         corr = corr + reference_reduce(head, odd1, ctx) * reference_reduce(tail, odd2, ctx)
@@ -450,7 +450,7 @@ def atom_pair_reduce(cup, base, ctx: AlgebraContext) -> NormalForm:
         if name not in ctx.k0_eval:
             raise ValueError(f"unknown base-class name {clip(repr(name))} in context")
         if base[0] != "sigma":
-            return NormalForm.zero(ctx)
+            return NormalForm(ctx.r, ctx.genus)
         scale, base = ctx.k0_eval[name], ("pt",)
     chern = [atom[1] for atom in cup if atom[0] == "c"]
     no_v = (0,) * (ctx.r - 1)
@@ -655,7 +655,7 @@ def reference_normalize(expr, ctx):
     if tag == "int":
         return NormalForm.scalar(ctx, expr[1])
     if tag == "add":
-        return NormalForm.zero(ctx).signed_sum((s, reference_normalize(node, ctx)) for s, node in expr[1])
+        return NormalForm(ctx.r, ctx.genus).signed_sum((s, reference_normalize(node, ctx)) for s, node in expr[1])
     if tag == "mul":
         out = reference_normalize(expr[1][0], ctx)
         for node in expr[1][1:]:
