@@ -511,11 +511,9 @@ class TokenCursor:
     def take(self, kind):
         """The next token, which must be of kind: a symbol, "int" or "word"; an int as an int."""
         tok = self.tokens[self.pos]
-        # a symbol is its own kind; the words "int" and "word" are not those kinds
-        if tok != kind or kind == "int" or kind == "word":
-            test = _KIND_TESTS.get(kind)
-            if not (test and test(tok[:1])):
-                raise self.expected(repr(kind), self.pos)
+        test = _KIND_TESTS.get(kind)
+        if not (test(tok[:1]) if test else tok == kind):
+            raise self.expected(repr(kind), self.pos)
         self.pos += 1
         return int(tok) if kind == "int" else tok
 

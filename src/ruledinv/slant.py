@@ -19,10 +19,9 @@ slants in one pass, over S with the intersection-form double sum:
                * (G[i_m,2h-1] G[i_n,2h] - G[i_m,2h] G[i_n,2h-1])
 
 Every cup atom has even degree (c_i has degree 2i, a pulled-back class
-degree 2), so moving one past another costs no sign; a G pair is signed
-by its order, m's factor on the left.  Degree-2 classes pulled back from
-the curve slant to a context number over S and to zero over pt and the
-odd classes.
+degree 2), so moving one past another costs no sign; keys are written
+sorted.  Degree-2 classes pulled back from the curve slant to a context
+number over S and to zero over pt and the odd classes.
 
 Accepted syntax (whitespace-insensitive), read by the tokenizer that
 exterior's forms use too; malformed text raises SlantSyntaxError, whose
@@ -309,66 +308,62 @@ def _even_degree(u, v) -> int:
 def _reduce_slant(cup, base, ctx: AlgebraContext) -> dict:
     """The slant of one cup over base, as a term dict with no zero coefficient.
 
-    One loop reads the cup: c atoms are counted by index, and each k0
-    name, which must be in ctx, caps the base, so it takes a sigma base
-    to pt times its integral and any other base to zero.  Terms see
-    indices, not atoms: each distinct index m takes one atom off u_m,
-    with the atoms' count n_m as its weight.  The S-slant's pair sum
-    runs over distinct index pairs, weighted C(n, 2) for one index and
-    n_m n_p for two; it has at most (index pairs) * 2g + (indices) terms,
-    refused past MAX_SLANT_TERMS before any is built.
+    One loop reads the whole cup: c atoms are counted by index, and each
+    k0 name, which must be in ctx, caps the base, taking S to pt times
+    its integral and any other base (pt, g_j, or S already capped) to
+    zero.  Terms see indices, not atoms: each distinct index m with n_m
+    atoms drops one atom off u_m at weight n_m, to G[m,j] over g_j and
+    to s_m over S.  Over S each index pair then drops two atoms, every
+    key written sorted, over handles h = 1..g:
+
+        m = p    G[m,2h-1] G[m,2h]  at -n_m (n_m - 1)
+        m < p    G[m,2h-1] G[p,2h]  at -n_m n_p,   G[m,2h] G[p,2h-1]  at +n_m n_p
+
+    These keys are distinct, at most (index pairs) * 2g + (indices) of
+    them, refused past MAX_SLANT_TERMS before any is built.
     """
     every = [0] * ctx.r
     scale, kind = 1, base[0]
     for tag, arg in cup:
         if tag == "c":
             every[arg - 1] += 1
-        elif tag == "k0":
-            if arg not in ctx.k0_eval:
-                raise ValueError(f"unknown base-class name {clip(repr(arg))} in context")
-            # pulled-back degree-2 classes cap the base
-            if kind != "sigma":
-                return {}
-            scale, kind = ctx.k0_eval[arg], "pt"
+        elif arg not in ctx.k0_eval:
+            raise ValueError(f"unknown base-class name {clip(repr(arg))} in context")
+        else:
+            # a pulled-back degree-2 class caps the base
+            scale, kind = (ctx.k0_eval[arg] if kind == "sigma" else 0), "pt"
     no_v = (0,) * (ctx.r - 1)
     if kind == "pt":
         return {(tuple(every), no_v, ()): scale} if scale else {}
-    # a k0 atom left the base at pt or returned, so scale is 1 from here on
     counts = [(i, n) for i, n in enumerate(every, 1) if n]
+    pairs = []
+    if kind == "sigma":
+        # C(n, 2) atom pairs of one index, each of whose two terms sorts to the same key
+        pairs = [(m, m, -n * (n - 1)) for m, n in counts if n > 1]
+        pairs += [(m, p, -n * n2) for (m, n), (p, n2) in combinations(counts, 2)]
+        if len(pairs) * 2 * ctx.genus + len(counts) > MAX_SLANT_TERMS:
+            raise ValueError(f"S-slant expands to more than the limit of {MAX_SLANT_TERMS} terms")
     terms = {}
-    if kind == "gamma":
-        for i, n in counts:
-            every[i - 1] -= 1
-            terms[tuple(every), no_v, ((i, base[1]),)] = n
-            every[i - 1] += 1
-        return terms
-    # the pair sum is symmetric: C(n, 2) atom pairs of one index, none for one atom
-    pairs = [(i, i, n * (n - 1) // 2) for i, n in counts if n > 1]
-    pairs += [(i, i2, n * n2) for (i, n), (i2, n2) in combinations(counts, 2)]
-    if len(pairs) * 2 * ctx.genus + len(counts) > MAX_SLANT_TERMS:
-        raise ValueError(f"S-slant expands to more than the limit of {MAX_SLANT_TERMS} terms")
     for i, n in counts:
         every[i - 1] -= 1
-        if i > 1:
-            terms[tuple(every), no_v[: i - 2] + (1,) + no_v[i - 1 :], ()] = n
-        elif ctx.scalar_degree:
-            terms[tuple(every), no_v, ()] = -n * ctx.scalar_degree
-        every[i - 1] += 1
-    for i, i2, weight in pairs:
-        every[i - 1] -= 1
-        every[i2 - 1] -= 1
         rest = tuple(every)
         every[i - 1] += 1
-        every[i2 - 1] += 1
-        for h in range(1, ctx.genus + 1):
-            for j, j2, sign in ((2 * h - 1, 2 * h, -weight), (2 * h, 2 * h - 1, weight)):
-                # G[i,j]*G[i2,j2] in that order: kept if sorted, else swapped at the opposite sign
-                left, right = (i, j), (i2, j2)
-                if left < right:
-                    key, coeff = (rest, no_v, (left, right)), sign
-                else:
-                    key, coeff = (rest, no_v, (right, left)), -sign
-                terms[key] = terms.get(key, 0) + coeff
+        if kind == "gamma":
+            terms[rest, no_v, ((i, base[1]),)] = n
+        elif i > 1:
+            terms[rest, no_v[: i - 2] + (1,) + no_v[i - 1 :], ()] = n
+        elif ctx.scalar_degree:
+            terms[rest, no_v, ()] = -n * ctx.scalar_degree
+    for m, p, weight in pairs:
+        every[m - 1] -= 1
+        every[p - 1] -= 1
+        rest = tuple(every)
+        every[m - 1] += 1
+        every[p - 1] += 1
+        for j in range(2, 2 * ctx.genus + 1, 2):
+            terms[rest, no_v, ((m, j - 1), (p, j))] = weight
+            if m < p:
+                terms[rest, no_v, ((m, j), (p, j - 1))] = -weight
     return terms
 
 

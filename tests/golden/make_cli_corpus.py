@@ -104,6 +104,9 @@ def error_requests():
         # a slant bracket with no base class after its bar, or no cup atom before it
         ["normalize", "--genus", "1", "<c1|x>"],
         ["normalize", "--genus", "1", "<q1|pt>"],
+        # an undeclared k0 name after a declared one, which caps the base to zero
+        ["normalize", "--genus", "1", "--k0", "h=3", "<k0[h].k0[q]|pt>"],
+        ["normalize", "--genus", "1", "--k0", "h=3", "<k0[h].c1.k0[q]|g1>"],
     ]
 
 

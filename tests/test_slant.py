@@ -376,11 +376,13 @@ def test_odd_generators_anticommute():
 
 def reference_reduce(cup, base, ctx):
     """The slant reduction as a left-to-right recursion over the cup."""
+    # every k0 name is checked before any is used: cup atoms commute
+    for tag, name in cup:
+        if tag == "k0" and name not in ctx.k0_eval:
+            raise ValueError(f"unknown base-class name {name!r} in context")
     for pos, atom in enumerate(cup):
         if atom[0] == "k0":
             name = atom[1]
-            if name not in ctx.k0_eval:
-                raise ValueError(f"unknown base-class name {name!r} in context")
             if base[0] != "sigma":
                 return NormalForm(ctx.r, ctx.genus)
             rest = cup[:pos] + cup[pos + 1 :]
@@ -444,11 +446,13 @@ def test_reduce_slant_matches_the_recursion():
 
 def atom_pair_reduce(cup, base, ctx: AlgebraContext) -> NormalForm:
     """The slant reduction over every atom and atom pair of the cup, one term each."""
-    # pulled-back degree-2 classes peel off first: they cap the base
-    scale = 1
-    for name in (atom[1] for atom in cup if atom[0] == "k0"):
+    # pulled-back degree-2 classes peel off first, every name checked: they cap the base
+    names = [atom[1] for atom in cup if atom[0] == "k0"]
+    for name in names:
         if name not in ctx.k0_eval:
             raise ValueError(f"unknown base-class name {clip(repr(name))} in context")
+    scale = 1
+    for name in names:
         if base[0] != "sigma":
             return NormalForm(ctx.r, ctx.genus)
         scale, base = ctx.k0_eval[name], ("pt",)
@@ -514,6 +518,31 @@ def test_reduce_slant_matches_the_atom_pair_loop():
         assert NormalForm(ctx.r, ctx.genus, _reduce_slant(cup, base, ctx)) == want, (cup, base, ctx)
         cases += not want.is_zero()
     assert cases > 200
+
+
+def test_cup_atoms_commute():
+    # one unknown name, q, so an error line names the same atom in any order
+    rng = random.Random(2035)
+    outcomes = set()
+    for _ in range(300):
+        r, genus = rng.randint(1, 3), rng.randint(0, 3)
+        ctx = AlgebraContext(r, genus, rng.randint(-3, 3), {"h": rng.randint(-3, 3), "k": 2})
+        cup = [
+            ("k0", rng.choice("hkq")) if rng.random() < 0.3 else ("c", rng.randint(1, r))
+            for _ in range(rng.randint(1, 5))
+        ]
+        for base in [("pt",), ("sigma",)] + [("gamma", j) for j in range(1, 2 * genus + 1)]:
+            seen = []
+            for _ in range(4):
+                rng.shuffle(cup)
+                try:
+                    seen.append(_reduce_slant(tuple(cup), base, ctx))
+                except ValueError as err:
+                    seen.append(str(err))
+            assert all(got == seen[0] for got in seen), (cup, base, ctx)
+            outcomes.add("refused" if isinstance(seen[0], str) else bool(seen[0]))
+    # nonzero and zero term dicts and refusals all come up
+    assert outcomes == {True, False, "refused"}
 
 
 def test_s_slant_term_cap(monkeypatch):
