@@ -4,7 +4,8 @@ Responses are JSON on stdout with sorted keys and no floats; integers
 past the 53-bit safe range are rendered as decimal strings so nothing
 downstream rounds them.  Identical requests produce byte-identical
 output.  Exit codes: 0 success, 1 a check command found failures, 2 bad
-flags, unparseable input or a stdout closed before the response.
+flags, unparseable input or a stdout closed before the response.  main
+returns them all, argparse's too; run(argv) adds stdout and stderr.
 
 Every request needs exterior; each handler imports the other layers it
 uses where it runs, so a request loads only those.
@@ -254,6 +255,8 @@ def main(argv=None) -> int:
     try:
         try:
             args = parser.parse_args(argv)
+        except SystemExit as exit_:
+            return exit_.code
         finally:
             # argparse prints --help before it exits; flushing here lets a
             # closed stdout take the branch below, not fail in the exit flush
@@ -266,6 +269,17 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the response was written", file=sys.stderr)
     return 2
+
+
+def run(argv) -> tuple:
+    """main(argv) run in this process: (exit code, stdout, stderr), a cli.jsonl line's fields."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 if __name__ == "__main__":

@@ -319,8 +319,8 @@ def _reduce_slant(cup, base, ctx: AlgebraContext) -> dict:
         m = p    G[m,2h-1] G[m,2h]  at -n_m (n_m - 1)
         m < p    G[m,2h-1] G[p,2h]  at -n_m n_p,   G[m,2h] G[p,2h-1]  at +n_m n_p
 
-    These keys are distinct, at most (index pairs) * 2g + (indices) of
-    them, refused past MAX_SLANT_TERMS before any is built.
+    These keys are distinct, at most g per same-index pair, 2g per cross
+    pair and one per index, refused past MAX_SLANT_TERMS before any is built.
     """
     every = [0] * ctx.r
     scale, kind = 1, base[0]
@@ -341,7 +341,7 @@ def _reduce_slant(cup, base, ctx: AlgebraContext) -> dict:
         # C(n, 2) atom pairs of one index, each of whose two terms sorts to the same key
         pairs = [(m, m, -n * (n - 1)) for m, n in counts if n > 1]
         pairs += [(m, p, -n * n2) for (m, n), (p, n2) in combinations(counts, 2)]
-        if len(pairs) * 2 * ctx.genus + len(counts) > MAX_SLANT_TERMS:
+        if sum(1 + (m < p) for m, p, _ in pairs) * ctx.genus + len(counts) > MAX_SLANT_TERMS:
             raise ValueError(f"S-slant expands to more than the limit of {MAX_SLANT_TERMS} terms")
     terms = {}
     for i, n in counts:

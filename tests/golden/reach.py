@@ -1,7 +1,7 @@
 """Print the src/ lines that no request, grid or demo runs, each with why it may stay.
 
 Runs, in one process under the standard library's trace.Trace(count=1):
-every argv of tests/golden/cli.jsonl through `ruledinv.cli.main`,
+every argv of tests/golden/cli.jsonl through `ruledinv.cli.run`,
 `check --max-genus 2 --max-r0 3 --max-deg 2`, and the five demos.
 ruledinv is first imported inside the trace.  Only the lines of function
 code objects are read, so a class body or module line that runs at
@@ -102,12 +102,9 @@ def drive():
     from ruledinv import cli
 
     argvs = [json.loads(line)["argv"] for line in CORPUS.read_text().splitlines()]
+    for argv in argvs + [CHECK]:
+        cli.run(argv)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        for argv in argvs + [CHECK]:
-            try:
-                cli.main(argv)
-            except SystemExit:
-                pass
         for demo in sorted((ROOT / "demos").glob("*.py")):
             runpy.run_path(str(demo), run_name="__main__")
 

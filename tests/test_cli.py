@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -11,18 +12,12 @@ import pytest
 
 import ruledinv
 from ruledinv import checks, exterior
-from ruledinv.cli import main
+from ruledinv.cli import main, run
 from ruledinv.indices import abelian_v
 
 
-def run(capsys, argv):
-    code = main(argv)
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-def test_ggw_frozen_line(capsys):
-    code, out, err = run(capsys, ["ggw", "--genus", "1", "--r0", "2", "--v", "2"])
+def test_ggw_frozen_line():
+    code, out, err = run(["ggw", "--genus", "1", "--r0", "2", "--v", "2"])
     assert code == 0 and err == ""
     assert out == (
         '{"command": "ggw", "inputs": {"chamber": "interesting", "form": "1",'
@@ -30,24 +25,21 @@ def test_ggw_frozen_line(capsys):
     )
 
 
-def test_identical_requests_are_byte_identical(capsys):
+def test_identical_requests_are_byte_identical():
     argv = ["sw", "--genus", "2", "--d", "0", "--n", "1", "--deg-v0", "1"]
-    _, first, _ = run(capsys, argv)
-    _, second, _ = run(capsys, argv)
+    _, first, _ = run(argv)
+    _, second, _ = run(argv)
     assert first == second
 
 
-def test_empty_chamber_override(capsys):
-    code, out, _ = run(
-        capsys, ["ggw", "--genus", "1", "--r0", "2", "--v", "2", "--chamber", "empty"]
-    )
+def test_empty_chamber_override():
+    code, out, _ = run(["ggw", "--genus", "1", "--r0", "2", "--v", "2", "--chamber", "empty"])
     assert code == 0
     assert json.loads(out)["result"]["value"] == 0
 
 
-def test_ggw_bundle_reports_v(capsys):
+def test_ggw_bundle_reports_v():
     code, out, _ = run(
-        capsys,
         ["ggw-bundle", "--genus", "0", "--r0", "3", "--deg-e", "-1", "--deg-e0", "0"],
     )
     assert code == 0
@@ -86,48 +78,47 @@ def test_ggw_bundle_reports_v(capsys):
     ],
     ids=["ggw-bundle", "quot-count", "evaluate", "check"],
 )
-def test_echo_frozen_lines(capsys, argv, line):
+def test_echo_frozen_lines(argv, line):
     # inputs repeat every flag as parsed; --form in canonical text, --k0 as a sorted table
-    code, out, err = run(capsys, argv)
+    code, out, err = run(argv)
     assert code == 0 and err == ""
     assert out == line + "\n"
 
 
-def test_sw_frozen_lines(capsys):
+def test_sw_frozen_lines():
     base = ["sw", "--genus", "1", "--d", "1", "--n", "1", "--deg-v0", "0"]
-    code, out, _ = run(capsys, base)
+    code, out, _ = run(base)
     assert code == 0
     assert out == (
         '{"command": "sw", "inputs": {"d": 1, "deg_v0": 0, "form": "1", "genus": 1,'
         ' "n": 1}, "result": {"c": {"f": 2, "s": 4}, "minus": 0, "pair_with_fibre": 4,'
         ' "plus": 2, "sign": 1, "w_c": 4}}\n'
     )
-    code, out, _ = run(capsys, base + ["--form", "a1^b1"])
+    code, out, _ = run(base + ["--form", "a1^b1"])
     assert code == 0
     result = json.loads(out)["result"]
     assert (result["plus"], result["minus"], result["sign"]) == (1, 0, 1)
 
 
-def test_sw_zero_pairing(capsys):
-    code, out, _ = run(capsys, ["sw", "--genus", "2", "--d", "3", "--n", "-1", "--deg-v0", "0"])
+def test_sw_zero_pairing():
+    code, out, _ = run(["sw", "--genus", "2", "--d", "3", "--n", "-1", "--deg-v0", "0"])
     assert code == 0
     result = json.loads(out)["result"]
     assert (result["sign"], result["plus"], result["minus"]) == (0, 0, 0)
 
 
-def test_quot_count_big_integer_is_a_string(capsys):
-    code, out, _ = run(capsys, ["quot-count", "--genus", "40", "--r0", "9"])
+def test_quot_count_big_integer_is_a_string():
+    code, out, _ = run(["quot-count", "--genus", "40", "--r0", "9"])
     assert code == 0
     value = json.loads(out)["result"]["value"]
     assert value == str(9**40)
     # small values stay numeric
-    _, out, _ = run(capsys, ["quot-count", "--genus", "2", "--r0", "3"])
+    _, out, _ = run(["quot-count", "--genus", "2", "--r0", "3"])
     assert json.loads(out)["result"]["value"] == 9
 
 
-def test_normalize_frozen_line(capsys):
+def test_normalize_frozen_line():
     code, out, _ = run(
-        capsys,
         ["normalize", "--r", "2", "--genus", "2", "--scalar-degree", "-1", "<c1.c1|S>"],
     )
     assert code == 0
@@ -138,46 +129,37 @@ def test_normalize_frozen_line(capsys):
     )
 
 
-def test_normalize_with_k0_table(capsys):
-    code, out, _ = run(
-        capsys, ["normalize", "--r", "1", "--genus", "1", "--k0", "h=3", "<k0[h]|S>"]
-    )
+def test_normalize_with_k0_table():
+    code, out, _ = run(["normalize", "--r", "1", "--genus", "1", "--k0", "h=3", "<k0[h]|S>"])
     assert code == 0
     payload = json.loads(out)
     assert payload["inputs"]["k0"] == {"h": 3}
     assert payload["result"]["normal_form"] == "3"
 
 
-def test_normalize_reads_its_own_output_after_double_dash(capsys):
+def test_normalize_reads_its_own_output_after_double_dash():
     # argparse reads a printed one-term form like "-2*u1" as a flag unless it follows --
     flags = ["normalize", "--genus", "0", "--scalar-degree", "1"]
-    code, out, _ = run(capsys, flags + ["<c1.c1|S>"])
+    code, out, _ = run(flags + ["<c1.c1|S>"])
     form = json.loads(out)["result"]["normal_form"]
     assert code == 0 and form == "-2*u1"
-    with pytest.raises(SystemExit) as exc:
-        main(flags + [form])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    code, out, _ = run(capsys, flags + ["--", form])
+    assert run(flags + [form])[0] == 2
+    code, out, _ = run(flags + ["--", form])
     assert code == 0 and json.loads(out)["result"]["normal_form"] == form
 
 
-def test_evaluate(capsys):
-    code, out, _ = run(
-        capsys,
-        ["evaluate", "--genus", "1", "--r0", "2", "--v", "1", "G[1,1]*G[1,2]"],
-    )
+def test_evaluate():
+    code, out, _ = run(["evaluate", "--genus", "1", "--r0", "2", "--v", "1", "G[1,1]*G[1,2]"])
     assert code == 0
     assert json.loads(out)["result"] == {"normal_form": "G[1,1]*G[1,2]", "value": 1}
-    _, out, _ = run(capsys, ["evaluate", "--genus", "1", "--r0", "2", "--v", "1", "u1"])
+    _, out, _ = run(["evaluate", "--genus", "1", "--r0", "2", "--v", "1", "u1"])
     assert json.loads(out)["result"]["value"] == 2
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
+CORPUS = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
 # the refusals of the byte contract, each written once, in make_cli_corpus.py
-REFUSALS = [
-    want["argv"] for want in map(json.loads, GOLDEN.read_text().splitlines()) if want["exit"] == 2
-]
+REFUSALS = [want["argv"] for want in CORPUS if want["exit"] == 2]
 
 
 @pytest.fixture
@@ -189,18 +171,9 @@ def corpus_digit_limit():
     sys.set_int_max_str_digits(limit)
 
 
-def exit_code(argv):
-    """main's return code, or the code of the SystemExit argparse raises."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("argv", REFUSALS)
-def test_domain_and_parse_errors_exit_2(capsys, corpus_digit_limit, argv):
-    code = exit_code(argv)
-    out, err = capsys.readouterr()
+def test_domain_and_parse_errors_exit_2(corpus_digit_limit, argv):
+    code, out, err = run(argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
@@ -219,10 +192,10 @@ def test_domain_and_parse_errors_exit_2(capsys, corpus_digit_limit, argv):
         (["quot-count", "--genus", "100000000", "--r0", "3"], "decimal digits"),
     ],
 )
-def test_digit_limit_is_named(capsys, argv, tail):
+def test_digit_limit_is_named(argv, tail):
     # past the interpreter's int/str digit limit, output values and input
     # literals each end in one line that names the limit
-    code, out, err = run(capsys, argv)
+    code, out, err = run(argv)
     assert code == 2 and out == ""
     assert str(sys.get_int_max_str_digits()) in err
     assert err.rstrip().endswith(tail)
@@ -231,13 +204,13 @@ def test_digit_limit_is_named(capsys, argv, tail):
 
 
 @pytest.mark.parametrize("genus,r0,limit", [(14284, 2, 4300), (9012, 3, 4300), (17200, 2, 0), (5000, 9, 0)])
-def test_quot_count_budget_passes_every_count_that_prints(capsys, genus, r0, limit):
+def test_quot_count_budget_passes_every_count_that_prints(genus, r0, limit):
     # the budget refuses only r0^genus >= 16^limit, so a count of exactly
     # limit digits prints, as does any count under a limit of 0
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
-        code, out, err = run(capsys, ["quot-count", "--genus", str(genus), "--r0", str(r0)])
+        code, out, err = run(["quot-count", "--genus", str(genus), "--r0", str(r0)])
         value = int(json.loads(out)["result"]["value"]) if code == 0 else None
     finally:
         sys.set_int_max_str_digits(old)
@@ -257,37 +230,60 @@ def test_quot_count_budget_passes_every_count_that_prints(capsys, genus, r0, lim
         ["ggw", "--genus", "1", "--r0", "2", "--v", "1", "--form"],
     ],
 )
-def test_flag_errors_exit_2(capsys, argv):
+def test_flag_errors_exit_2(argv):
     # argparse's own errors keep the one-line contract: no usage block
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     # only the expression argparse took for a flag gets the hint that names --,
     # and only a --form left bare the hint that names --form=
-    assert ("goes after --" in out.err) == ("-u1" in argv)
-    assert ("goes as --form=..." in out.err) == ("--form" in argv)
-    assert len(out.err) < 200
+    assert ("goes after --" in err) == ("-u1" in argv)
+    assert ("goes as --form=..." in err) == ("--form" in argv)
+    assert len(err) < 200
 
 
-def test_cli_corpus_replays_byte_identical(capsys, corpus_digit_limit):
+def replay_changes(corpus):
+    """The clipped argv of each corpus line that run no longer gives byte for byte."""
+    return [
+        exterior.clip(" ".join(want["argv"]))
+        for want in corpus
+        if run(want["argv"]) != (want["exit"], want["stdout"], want["stderr"])
+    ]
+
+
+def test_cli_corpus_replays_byte_identical(corpus_digit_limit):
     # the committed byte contract, written by tests/golden/make_cli_corpus.py
-    changed = []
-    for line in GOLDEN.read_text().splitlines():
-        want = json.loads(line)
-        code = exit_code(want["argv"])
-        out = capsys.readouterr()
-        if (code, out.out, out.err) != (want["exit"], want["stdout"], want["stderr"]):
-            changed.append(exterior.clip(" ".join(want["argv"])))
-    assert changed == []
+    assert replay_changes(CORPUS) == []
 
 
-def test_check_small_grid_passes(capsys):
-    code, out, _ = run(
-        capsys, ["check", "--max-genus", "1", "--max-r0", "2", "--max-deg", "1"]
-    )
+def test_cli_corpus_replays_in_any_order(corpus_digit_limit):
+    # one process answers each request alike whatever ran before it: the
+    # oracle's caches and the digit limit carry nothing between requests
+    corpus = list(CORPUS)
+    random.Random(2036).shuffle(corpus)
+    assert replay_changes(corpus) == []
+
+
+def test_main_returns_every_corpus_exit_code(capsys, corpus_digit_limit):
+    # argparse's usage errors return through main too, so nothing ends the process
+    codes = [main(want["argv"]) for want in CORPUS]
+    capsys.readouterr()
+    assert codes == [want["exit"] for want in CORPUS]
+
+
+@pytest.mark.parametrize(
+    "argv,usage",
+    [(["--help"], "usage: ruledinv [-h]"), (["ggw", "--help"], "usage: ruledinv ggw [-h]")],
+    ids=["top", "ggw"],
+)
+def test_help_exits_0_with_usage_on_stdout(argv, usage):
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage)
+
+
+def test_check_small_grid_passes():
+    code, out, _ = run(["check", "--max-genus", "1", "--max-r0", "2", "--max-deg", "1"])
     assert code == 0
     result = json.loads(out)["result"]
     assert result["passed"] is True
@@ -315,7 +311,7 @@ def test_point_cap_follows_the_case_cap(monkeypatch):
         checks.run_all(6)
 
 
-def test_check_failure_exits_1(capsys, monkeypatch):
+def test_check_failure_exits_1(monkeypatch):
     broken = checks.CheckReport(
         name="oracle_equivalence",
         cases=10,
@@ -323,14 +319,14 @@ def test_check_failure_exits_1(capsys, monkeypatch):
         first_counterexample={"genus": 1},
     )
     monkeypatch.setattr("ruledinv.checks.run_all", lambda *a: [broken])
-    code, out, _ = run(capsys, ["check"])
+    code, out, _ = run(["check"])
     assert code == 1
     result = json.loads(out)["result"]
     assert result["passed"] is False
     assert result["grids"][0]["first_counterexample"] == {"genus": 1}
 
 
-def test_grid_failures_are_counted_and_reported(capsys, monkeypatch):
+def test_grid_failures_are_counted_and_reported(monkeypatch):
     # each grid's failure branch, reached by wrapping the real routes so
     # that exactly one grid case goes wrong: genus 1, a1^b1, and in the
     # oracle grid r0 = 2, d = -1, d0 = 0 (both twists), in the dictionary
@@ -379,13 +375,13 @@ def test_grid_failures_are_counted_and_reported(capsys, monkeypatch):
         "sw": 1,
         "oracle": 1,
     }
-    code, out, _ = run(capsys, ["check", "--max-genus", "1", "--max-r0", "2", "--max-deg", "1"])
+    code, out, _ = run(["check", "--max-genus", "1", "--max-r0", "2", "--max-deg", "1"])
     assert code == 1
     assert '"passed": false' in out
     assert json.loads(out)["result"]["total_failures"] == oracle.failures + dictionary.failures
 
 
-def test_a_route_that_raises_fails_its_case(capsys, monkeypatch):
+def test_a_route_that_raises_fails_its_case(monkeypatch):
     # a bookkeeping error inside a case is that case's failure, with the
     # error's text in the counterexample, and check exits 1, not 2: the
     # oracle's v off by one at genus 2 fails every case there of both grids,
@@ -398,7 +394,7 @@ def test_a_route_that_raises_fails_its_case(capsys, monkeypatch):
 
     monkeypatch.setattr(picard, "abelian_v", v_off_at(2))
     picard._segre_point.cache_clear()  # points cached by earlier tests never see the patch
-    code, out, err = run(capsys, ["check", "--max-genus", "2", "--max-r0", "2", "--max-deg", "1"])
+    code, out, err = run(["check", "--max-genus", "2", "--max-r0", "2", "--max-deg", "1"])
     assert code == 1 and err == ""
     oracle, dictionary = json.loads(out)["result"]["grids"]
     assert oracle["failures"] == 2 * 9 * 16 * 2  # r0, (d, d0), blades, twists

@@ -546,18 +546,28 @@ def test_cup_atoms_commute():
 
 
 def test_s_slant_term_cap(monkeypatch):
-    # c1.c2.c1 over S at genus 3: index pairs (1, 1) and (1, 2) give 2 * 2 * 3
-    # pair terms, and two indices give two more
+    # c1.c2.c1 over S at genus 3: the same-index pair (1, 1) gives 3 pair
+    # terms, the cross pair (1, 2) gives 2 * 3, and two indices give two more
     ctx = AlgebraContext(r=2, genus=3, scalar_degree=1)
     cup, base = (("c", 1), ("c", 2), ("c", 1)), ("sigma",)
-    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 14)
-    assert NormalForm(ctx.r, ctx.genus, _reduce_slant(cup, base, ctx)) == atom_pair_reduce(cup, base, ctx)
-    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 13)
-    with pytest.raises(ValueError, match="^S-slant expands to more than the limit of 13 terms$"):
+    want = atom_pair_reduce(cup, base, ctx)
+    assert len(want.terms) == 11
+    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 11)
+    assert NormalForm(ctx.r, ctx.genus, _reduce_slant(cup, base, ctx)) == want
+    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 10)
+    with pytest.raises(ValueError, match="^S-slant expands to more than the limit of 10 terms$"):
         _reduce_slant(cup, base, ctx)
+    # <c1.c1|S> is counted as its g pair terms and one index: it answers at a cap of g + 1
+    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 4)
+    assert print_normal(norm("<c1.c1|S>", AlgebraContext(1, 3, 0))) == (
+        "-2*G[1,1]*G[1,2] - 2*G[1,3]*G[1,4] - 2*G[1,5]*G[1,6]"
+    )
+    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 3)
+    with pytest.raises(ValueError, match="more than the limit of 3 terms"):
+        norm("<c1.c1|S>", AlgebraContext(1, 3, 0))
     # one term past the cap at a genus no expansion could reach: the count comes first
     huge = AlgebraContext(r=1, genus=10**18)
-    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 2 * 10**18)
+    monkeypatch.setattr(slant, "MAX_SLANT_TERMS", 10**18)
     with pytest.raises(ValueError, match="more than the limit"):
         _reduce_slant((("c", 1), ("c", 1)), base, huge)
     # the other bases and a capped base never expand, so the cap does not apply
