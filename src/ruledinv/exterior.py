@@ -26,7 +26,6 @@ import sys
 from functools import lru_cache
 from itertools import combinations, islice
 from operator import attrgetter, ge
-from string import ascii_letters
 
 __all__ = [
     "check_counts",
@@ -409,19 +408,20 @@ def top_pairing(x: Multivector, topo: SurfaceTopology) -> int:
     return x.coefficient(topo.top_blade())
 
 
-def pair_theta_powers(l: Multivector, genus: int, scale: int, lowest: int) -> int:
+def pair_theta_powers(terms: dict, genus: int, scale: int, lowest: int) -> int:
     """Sum over i >= lowest of the top pairing of (scale*Theta)^i/i! with l.
 
-    The one kernel behind the closed forms, which pass the genus they hold:
-    the count scales Theta by the target rank, the Seiberg-Witten value by
-    half the fibre pairing, and each truncates below its own lowest power; a
-    lowest below 0 sums them all.  Theta^i/i! is the sum of the i-handle
-    blades, so only handle blades of l, made of whole a_k^b_k pairs, reach
-    the top grade.  A handle blade B pairs to +1 with Theta^i/i! for
-    i = g - |B|/2 alone, since disjoint degree-2 blocks commute; a term c*B
-    adds c*scale^i when i >= lowest.  A negative genus raises; a lowest
-    past the genus gives 0 unchecked, else a blade past the genus raises
-    with l's largest index.  Only a handle blade's entries fill |B|/2 handles.
+    The one kernel behind the closed forms, which pass the genus they hold
+    and l's term dict {blade: coeff}, as product_terms takes them: the count
+    scales Theta by the target rank, the Seiberg-Witten value by half the
+    fibre pairing, and each truncates below its own lowest power; a lowest
+    below 0 sums them all.  Theta^i/i! is the sum of the i-handle blades,
+    so only handle blades of l, made of whole a_k^b_k pairs, reach the top
+    grade.  A handle blade B pairs to +1 with Theta^i/i! for i = g - |B|/2
+    alone, since disjoint degree-2 blocks commute; a term c*B adds
+    c*scale^i when i >= lowest.  A negative genus raises; a lowest past the
+    genus gives 0 unchecked, else a blade past the genus raises with the
+    dict's largest index.  Only a handle blade's entries fill |B|/2 handles.
     """
     if genus < 0:
         check_counts(genus)
@@ -429,9 +429,10 @@ def pair_theta_powers(l: Multivector, genus: int, scale: int, lowest: int) -> in
         return 0
     rank = 2 * genus
     total = 0
-    for blade, coeff in l.terms.items():
+    for blade, coeff in terms.items():
         if blade and blade[-1] >= rank:
-            _check_range(l, genus, "pair_theta_powers")
+            top = max(b[-1] for b in terms if b)
+            raise ValueError(f"pair_theta_powers: generator index {top} out of range for genus {genus}")
         i, odd = divmod(2 * genus - len(blade), 2)
         if not odd and i >= lowest and len({x >> 1 for x in blade}) == genus - i:
             total += coeff * scale**i
@@ -465,6 +466,8 @@ class TextSyntaxError(ValueError):
 
 # a word token: a letter or '_', then letters, digits or '_'
 WORD = r"[A-Za-z_][A-Za-z_\d]*"
+# string.ascii_letters, spelled out: importing string compiles its Template pattern
+LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # symbols first, as most tokens are; the first character alone picks the class
 _TOKEN_RE = re.compile(rf"\s*([<>|().,+\-*^\[\]]|\d+|{WORD}|\S)")
 # a character no token class takes; the tokenizer's \S catches it alone
@@ -533,7 +536,7 @@ class TokenCursor:
 
     def split_word(self, tok):
         """(letters, index) of a word like 'c12'; (None, None) for any other token."""
-        digits = tok.lstrip(ascii_letters)
+        digits = tok.lstrip(LETTERS)
         if digits.isdecimal() and len(digits) < len(tok):
             return tok[: -len(digits)], int(digits)
         return None, None

@@ -39,7 +39,7 @@ def ggw_abelian(genus: int, r0: int, v: int, l: Multivector) -> int:
     # tested inline, as a grid runs this once per case: a bare call cost 3-6% on 10^5 calls
     if genus < 0 or r0 < 1:
         check_counts(genus, r0)
-    return pair_theta_powers(l, genus, r0, genus - v)
+    return pair_theta_powers(l.terms, genus, r0, genus - v)
 
 
 def quot_count(genus: int, r0: int) -> int:
@@ -95,7 +95,8 @@ def sw_chamber(c: H2Class, geom: RuledSurfaceGeometry) -> tuple:
 
 def sw_value(chamber: tuple, genus: int, l: Multivector) -> int:
     """The signed chamber's value on l at this genus, for a chamber from sw_chamber."""
-    return chamber[0] * pair_theta_powers(l, genus, *chamber[3:])  # (scale, lowest)
+    sign, _, _, scale, lowest = chamber
+    return sign * pair_theta_powers(l.terms, genus, scale, lowest)
 
 
 def sw_for_class(c: H2Class, geom: RuledSurfaceGeometry, l: Multivector) -> SWResult:

@@ -189,7 +189,7 @@ def segre_series(ch: ThetaSeries) -> ThetaSeries:
     return chern_series(-ch)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _pushforward_segre(genus: int, r0: int, dprime: int) -> ThetaSeries:
     # grid checks revisit the same twisted degrees thousands of times
     return segre_series(grr_pushforward(dprime, r0, genus))

@@ -46,7 +46,7 @@ MAX_SLANT_TERMS terms are refused before any work.
 """
 
 from itertools import combinations
-from operator import add
+from operator import add, ge
 
 from .exterior import Combination, Multivector, merge_blades, pair_theta_powers, product_terms
 from .exterior import Record, TextSyntaxError, TokenCursor, check_counts, clip, format_terms
@@ -454,8 +454,12 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
     The monomial u1^a times G[1,j1]...G[1,jm] maps to (r0*Theta)^i/i!,
     i = a+g-v, wedged with the odd blade B = e_{j1-1}...e_{jm-1}; it
     reaches the top grade only when 2i + |B| = 2g, that is 2(v-a) = |B|.
-    Those terms' signed blades are summed in one dict into one form l,
-    paired in one kernel pass over the powers 0..g.
+    Each such term's odd indices, 0-based, go into one term dict l as its
+    blade when they are strictly increasing and nonnegative, as in every
+    normal form normalize makes; any other odd part goes through
+    Multivector.blade, which signs it by its sort, drops it on a repeated
+    index and refuses a negative one.  l is paired in one kernel pass
+    over the powers 0..g.
     """
     if nf.r != 1:
         raise NotImplementedError("evaluation is only defined for the rank-1 algebra")
@@ -467,6 +471,10 @@ def evaluate_abelian(nf: NormalForm, genus: int, r0: int, v: int) -> int:
     terms = {}
     for (u, _v, odd), coeff in nf.terms.items():
         if 2 * (v - u[0]) == len(odd):
-            for blade, c in Multivector.blade([j - 1 for _, j in odd], coeff).terms.items():
-                terms[blade] = terms.get(blade, 0) + c
-    return pair_theta_powers(Multivector()._like(terms), genus, r0, 0)
+            blade = tuple([j - 1 for _, j in odd])
+            if blade and (blade[0] < 0 or any(map(ge, blade, blade[1:]))):
+                for blade, c in Multivector.blade(blade, coeff).terms.items():
+                    terms[blade] = terms.get(blade, 0) + c
+            else:
+                terms[blade] = terms.get(blade, 0) + coeff
+    return pair_theta_powers(terms, genus, r0, 0)

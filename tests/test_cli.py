@@ -428,8 +428,8 @@ def test_dictionary_grid_catches_a_broken_sw_side(monkeypatch):
 
     kernel, chamber = invariants.pair_theta_powers, checks.sw_chamber
 
-    def kernel_flipped_at_genus_1(l, genus, scale, lowest):
-        return (-1) ** (genus == 1) * kernel(l, genus, scale, lowest)
+    def kernel_flipped_at_genus_1(terms, genus, scale, lowest):
+        return (-1) ** (genus == 1) * kernel(terms, genus, scale, lowest)
 
     def scale_off_by_one(c, geom):
         sign, pair, w_c, scale, lowest = chamber(c, geom)

@@ -33,7 +33,7 @@ from ruledinv.picard import (
     min_valid_aux_twist,
     poincare_chern,
 )
-from ruledinv.slant import AlgebraContext, NormalForm, evaluate_abelian, parse_expr
+from ruledinv.slant import AlgebraContext, NormalForm, evaluate_abelian, normalize, parse_expr
 
 
 def mv(genus, *specs):
@@ -430,7 +430,7 @@ def test_pair_theta_powers_matches_wedged_theta_powers(case):
         scale**i * top_pairing(wedge(theta_divided_power(topo, i), l, topo), topo)
         for i in range(max(0, lowest), genus + 1)
     )
-    assert pair_theta_powers(l, genus, scale, lowest) == want
+    assert pair_theta_powers(l.terms, genus, scale, lowest) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -448,7 +448,7 @@ def test_pair_theta_powers_binomial_identity(pair, r0, t):
         l = l + t**k * theta_divided_power(topo, k)
     powers = range(max(0, lowest), genus + 1)
     want = sum(r0**i * t ** (genus - i) * math.comb(genus, i) for i in powers)
-    assert pair_theta_powers(l, genus, r0, lowest) == want
+    assert pair_theta_powers(l.terms, genus, r0, lowest) == want
 
 
 @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
@@ -462,9 +462,30 @@ def test_pair_theta_powers_range_check_in_the_pass(where):
     assert list(l.terms)[where] == (3, 6, 7)
     message = "pair_theta_powers: generator index 7 out of range for genus 2"
     with pytest.raises(ValueError) as err:
-        pair_theta_powers(l, 2, 3, 0)
+        pair_theta_powers(l.terms, 2, 3, 0)
     assert str(err.value) == message
-    assert pair_theta_powers(l, 2, 3, 3) == 0
+    assert pair_theta_powers(l.terms, 2, 3, 3) == 0
+
+
+def test_closed_forms_hand_the_kernel_a_plain_dict(monkeypatch):
+    # a Multivector would still pair, through items(), but pay for its sort
+    from ruledinv import invariants, slant
+
+    seen = []
+
+    def kernel(terms, *args):
+        seen.append(type(terms))
+        return pair_theta_powers(terms, *args)
+
+    monkeypatch.setattr(invariants, "pair_theta_powers", kernel)
+    monkeypatch.setattr(slant, "pair_theta_powers", kernel)
+    l = Multivector({(): 2, (0, 1): 3, (0, 1, 2, 3): -1, (1,): 5})
+    ctx = AlgebraContext(1, 2)
+    nf = normalize(parse_expr("u1^2 + 3*u1*G[1,2]*G[1,1] - G[1,1]*G[1,2]*G[1,3]*G[1,4]", ctx), ctx)
+    assert ggw_abelian(2, 3, 2, l) == 2 * 9 + 3 * 3 - 1
+    assert sw_ruled(2, 1, RuledSurfaceGeometry(2, 0), l).value_signed_chamber == 2 * 4 + 3 * 2 - 1
+    assert evaluate_abelian(nf, 2, 3, 2) == 9 - 3 * 3 - 1
+    assert seen == [dict, dict, dict]
 
 
 def test_oracle_returns_a_plain_int():
@@ -487,7 +508,7 @@ ONE = Multivector.scalar(1)
 COUNT_ENTRIES = {
     "check_counts": (check_counts, True),
     "SurfaceTopology": (lambda g, r0: SurfaceTopology(g), False),
-    "pair_theta_powers": (lambda g, r0: pair_theta_powers(ONE, g, 2, -5), False),
+    "pair_theta_powers": (lambda g, r0: pair_theta_powers(ONE.terms, g, 2, -5), False),
     "RuledSurfaceGeometry": (lambda g, r0: RuledSurfaceGeometry(g, 0), False),
     "abelian_v": (lambda g, r0: abelian_v(r0, 0, 0, g), True),
     "ggw_abelian": (lambda g, r0: ggw_abelian(g, r0, 0, ONE), True),

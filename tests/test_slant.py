@@ -829,6 +829,20 @@ def test_evaluate_pairs_in_one_kernel_call(monkeypatch):
             assert len(calls) == 1
 
 
+def test_evaluate_writes_a_normal_forms_blades_as_they_are(monkeypatch):
+    # normalize sorts every odd part, so no term goes through Multivector.blade
+    ctx = AlgebraContext(r=1, genus=2)
+    nf = norm("(1 + u1 + u1^2) * (1 + G[1,2]*G[1,1] - 3*G[1,4]*G[1,3] + G[1,3]*G[1,1]*G[1,4]*G[1,2])", ctx)
+    want = {v: reference_evaluate(nf, 2, 3, v) for v in range(-1, 4)}
+    assert any(want.values())
+
+    def no_blade(*args):
+        raise AssertionError("Multivector.blade called")
+
+    monkeypatch.setattr(Multivector, "blade", no_blade)
+    assert {v: evaluate_abelian(nf, 2, 3, v) for v in want} == want
+
+
 def test_evaluate_validation():
     nf2 = norm("u1", CTX22)
     with pytest.raises(NotImplementedError):
