@@ -146,13 +146,8 @@ def _cmd_check(args):
 
     reports = run_all(args.max_genus, args.max_r0, args.max_deg)
     failures = sum(r.failures for r in reports)
-    grids = [
-        {"name": r.name, "cases": r.cases, "failures": r.failures,
-         "first_counterexample": r.first_counterexample}
-        for r in reports
-    ]
     return {
-        "grids": grids,
+        "grids": [{name: getattr(r, name) for name in r.__slots__} for r in reports],
         "total_cases": sum(r.cases for r in reports),
         "total_failures": failures,
         "passed": failures == 0,

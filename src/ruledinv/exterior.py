@@ -170,13 +170,10 @@ class Combination(Record):
     convention: no method mutates, operators return fresh instances.  A
     subclass's own __slots__ are its shape, what two operands must
     share, read through Record's _fields (None for a subclass with no
-    slots).  It supplies two hooks:
-
-    - monomial_degree(m), the degree of one monomial;
-    - merge_monomials(m1, m2), the product of two monomials as
-      (monomial, multiplier), or None when it vanishes: a sign for
-      blades, a binomial for theta's divided powers, the Kunneth
-      relations for picard's KunnethClass.
+    slots).  It supplies one hook, merge_monomials(m1, m2), the product
+    of two monomials as (monomial, multiplier), or None when it
+    vanishes: a sign for blades, a binomial for theta's divided powers,
+    the Kunneth relations for picard's KunnethClass.
 
     x * n scales by an int n, and exact_div divides by one.  x * y, for
     y of x's type and shape, is the bilinear product, product_terms over
@@ -273,13 +270,6 @@ class Combination(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def items(self):
-        """Terms as (monomial, coefficient), sorted by degree then monomial."""
-        return sorted(self.terms.items(), key=lambda t: (self.monomial_degree(t[0]), t[0]))
-
-    def degrees(self):
-        return {self.monomial_degree(m) for m in self.terms}
-
 
 class Multivector(Combination):
     """Sparse integer element of the exterior algebra; monomials are blades.
@@ -290,7 +280,6 @@ class Multivector(Combination):
 
     __slots__ = ()
 
-    monomial_degree = staticmethod(len)
     merge_monomials = staticmethod(merge_blades)
 
     def __init__(self, terms=None):
@@ -338,6 +327,13 @@ class Multivector(Combination):
 
     def coefficient(self, blade) -> int:
         return self.terms.get(tuple(blade), 0)
+
+    def items(self):
+        """Terms as (blade, coefficient), sorted by grade then blade."""
+        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+
+    def degrees(self):
+        return {len(blade) for blade in self.terms}
 
     def max_index(self) -> int:
         """Largest generator index used, -1 for scalars and zero."""

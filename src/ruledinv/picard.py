@@ -58,24 +58,17 @@ class ThetaSeries(Combination):
 
     __slots__ = ("genus",)
 
-    def __init__(self, coeffs, genus=None):
+    def __init__(self, coeffs, genus: int):
         coeffs = list(coeffs)
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficient {c!r} is not an int")
-        if genus is not None:
-            check_counts(genus)
-        self.genus = len(coeffs) - 1 if genus is None else genus
-        if self.genus < 0:
-            raise ValueError("need at least the constant coefficient")
-        self.terms = {i: c for i, c in enumerate(coeffs[: self.genus + 1]) if c}
+        check_counts(genus)
+        self.genus = genus
+        self.terms = {i: c for i, c in enumerate(coeffs[: genus + 1]) if c}
 
     def merge_monomials(self, i, j):
         return (i + j, comb(i + j, i)) if i + j <= self.genus else None
-
-    @staticmethod
-    def monomial_degree(i):
-        return 2 * i  # theta has degree 2
 
     @property
     def coeffs(self) -> tuple:
@@ -132,12 +125,9 @@ class KunnethClass(Combination):
             return ((k + 1, 2), -2 * comb(k, i) * (k + 1)) if k < self.genus else None
         return ((k, p + q), comb(k, i)) if k <= self.genus else None
 
-    @staticmethod
-    def monomial_degree(m):
-        return 2 * m[0] + (2 if m[1] else 0)  # theta, gamma and eta all have degree 2
-
     def __repr__(self):
-        return f"KunnethClass({dict(self.items())!r}, genus={self.genus})"
+        # (k, part) order is degree order: theta^[k] has degree 2k, gamma and eta add 2
+        return f"KunnethClass({dict(sorted(self.terms.items()))!r}, genus={self.genus})"
 
 
 def poincare_chern(dprime: int, genus: int) -> KunnethClass:

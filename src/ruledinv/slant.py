@@ -291,11 +291,6 @@ class NormalForm(Combination):
             odd, sign = o1 or o2, 1
         return (tuple(map(add, u1, u2)), tuple(map(add, v1, v2)), odd), sign
 
-    def monomial_degree(self, key) -> int:
-        # G[i,j] has degree 2i - 1
-        u, v, odd = key
-        return _even_degree(u, v) + sum([2 * i - 1 for i, _ in odd])
-
     def __repr__(self):
         return f"NormalForm(r={self.r}, genus={self.genus}, {print_normal(self)!r})"
 
@@ -405,7 +400,7 @@ def _normal_terms(expr, ctx: AlgebraContext, merge) -> dict:
         if e == 0:
             return NormalForm.scalar(ctx, 1).terms
         # out = base^k over e's bits from the top.  Squaring costs |out|^2 merges, k more
-        # factors of base about k*|out|*|base|: a wider power (a sum's, soon) grows by base.
+        # factors of base about k*|out|*|base|: a wider power, a sum's, grows by base.
         out, k = base, 1
         for bit in bin(e)[3:]:
             if len(out) <= k * len(base):
@@ -421,13 +416,13 @@ def _normal_terms(expr, ctx: AlgebraContext, merge) -> dict:
 def print_normal(nf: NormalForm) -> str:
     """Canonical text form; parse_expr of the output normalizes back to nf.
 
-    Terms come in items() order, by degree then key, each body its u, v
-    and G factors joined by '*'.  The u/v text and the even degree of
-    each distinct (u, v) pair are worked out once per call, as many terms
-    share them and differ in their odd part only; a term's degree adds
-    2i - 1 for each G[i,j].  The terms are then sorted once, as tuples
-    led by (degree, key); keys are distinct, so no comparison goes past
-    the key.  A string is immutable, so sharing one changes no byte.
+    Terms come sorted by (degree, key), each body its u, v and G factors
+    joined by '*'; u_k and v_{k+1} have degree 2k, G[i,j] degree 2i - 1.
+    The u/v text and the even degree of each distinct (u, v) pair are
+    worked out once per call, as many terms share them and differ in
+    their odd part only.  The terms are then sorted once, as tuples led by (degree, key); keys
+    are distinct, so no comparison goes past the key.  A string is
+    immutable, so sharing one changes no byte.
     """
     even = {}
     rows = []

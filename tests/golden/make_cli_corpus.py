@@ -6,37 +6,31 @@ in-process.  `tests/test_cli.py::test_cli_corpus_replays_byte_identical`
 replays every line and compares the bytes.
 
 The requests are written out in full, so the replay imports nothing but
-ruledinv; this script alone reads `perfbench/gen.py`, for the seeded
-`cli_requests` mix and the dense forms.  Regenerate only when a change
-means to alter the output, and name each changed request and the reason
-with the change.  Run from the repository root:
+ruledinv.  Two blocks, a seeded mix of every subcommand and dense forms,
+are read from `drawn_requests.json` beside this script: they were drawn
+once with the benchmark's generator and frozen, so the corpus does not
+move when the benchmark does.  Regenerate only when a change means to
+alter the output, and name each changed request and the reason with the
+change.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/golden/make_cli_corpus.py
 """
 
 import json
-import random
 import sys
 from itertools import product
 from pathlib import Path
-from types import SimpleNamespace
+
+from ruledinv import cli
 
 ROOT = Path(__file__).resolve().parents[2]
 CORPUS = Path(__file__).resolve().parent / "cli.jsonl"
+# {"seeded_mix": [argv, ...], "dense_forms": [argv, ...]}: 390 requests, 50 to 61 of
+# each subcommand, 52 of them exit 2 and 37 of those on a --form argparse takes for a
+# flag; then dense 60- to 120-bit forms at g = 1..6, with --v -1 and negative fibre pairings
+DRAWN = json.loads((Path(__file__).resolve().parent / "drawn_requests.json").read_text())
 # digit-limit messages name the interpreter's int/str limit
 DIGITS = 4300
-
-sys.path.insert(0, str(ROOT / "perfbench"))
-import gen  # noqa: E402
-
-from ruledinv import cli, exterior, slant  # noqa: E402
-
-RB = SimpleNamespace(exterior=exterior, slant=slant)
-
-
-def seeded_mix():
-    """The benchmark's cli_requests draws for seeds 0-9."""
-    return [argv for seed in range(10) for _, argv in gen.cli_requests(random.Random(seed), RB)]
 
 
 def error_requests():
@@ -126,27 +120,6 @@ def large_genus():
     ]
 
 
-def dense_forms():
-    """Dense 60- to 120-bit forms at g = 1..6, with --v -1 and negative fibre pairings."""
-    rng = random.Random(2001)
-    out = []
-    for g in range(1, 7):
-        for _ in range(2):
-            form = exterior.format_multivector(
-                gen.random_form(rng, RB, g, "dense"), exterior.SurfaceTopology(g)
-            )
-            r0 = str(rng.randint(1, 4))
-            out += [
-                ["ggw", "--genus", str(g), "--r0", r0, "--v", str(rng.randint(-1, g + 2)), "--form", form],
-                ["ggw-bundle", "--genus", str(g), "--r0", r0, "--deg-e", str(rng.randint(-3, 3)),
-                 "--deg-e0", str(rng.randint(-3, 3)), "--form", form],
-                ["sw", "--genus", str(g), "--d", str(rng.randint(-3, 6)), "--n", str(rng.randint(-3, 3)),
-                 "--deg-v0", str(rng.randint(-2, 2)), "--form", form],
-            ]
-        out.append(["ggw", "--genus", str(g), "--r0", "2", "--v", "-1", "--form", form])
-    return out
-
-
 def hand_written():
     """Odd and cancelling evaluate terms, negative pairings, values either side
     of the 53-bit safe range and small check grids."""
@@ -185,7 +158,8 @@ def hand_written():
 
 def main():
     sys.set_int_max_str_digits(DIGITS)
-    requests = seeded_mix() + error_requests() + large_genus() + dense_forms() + hand_written()
+    requests = DRAWN["seeded_mix"] + error_requests() + large_genus() + DRAWN["dense_forms"]
+    requests += hand_written()
     with CORPUS.open("w") as fh:
         for argv in requests:
             code, out, err = cli.run(argv)

@@ -84,12 +84,9 @@ REASONS = {
     "exterior.Combination.__hash__": "tier1",
     # the exponential of zero, which the tests take in genus 0
     "exterior.exp_even: return Multivector.scalar(1)": "tier1",
-    # the tests multiply theta series, sort and group terms by degree, and print values
+    # the tests multiply theta series and print values
     "picard.ThetaSeries.merge_monomials": "tier1",
-    "picard.ThetaSeries.monomial_degree": "tier1",
-    "picard.KunnethClass.monomial_degree": "tier1",
     "picard.KunnethClass.__repr__": "tier1",
-    "slant.NormalForm.monomial_degree": "tier1",
     "slant.NormalForm.__repr__": "tier1",
     # gate criterion 6 builds its forms from generators
     "slant.NormalForm.u_gen": "tier1",

@@ -9,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ruledinv
 from ruledinv import checks, exterior
@@ -256,6 +258,27 @@ def test_cli_corpus_replays_byte_identical(corpus_digit_limit):
     assert replay_changes(CORPUS) == []
 
 
+def test_no_test_draws_from_the_benchmark():
+    # the byte contract and the tests read frozen data: a benchmark change moves no golden
+    root = Path(__file__).resolve().parent.parent
+    bench_dirs = json.loads((root / "BENCHMARK.json").read_text())["paths"]
+    modules = set(bench_dirs) | {p.stem for d in bench_dirs for p in (root / d).glob("*.py")}
+    found = []
+    for path in sorted((root / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            elif isinstance(node, ast.Constant):
+                # a sys.path entry that would let a bare "import gen" through
+                names = [node.value] if node.value in bench_dirs else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] in modules]
+    assert found == []
+
+
 def test_cli_corpus_replays_in_any_order(corpus_digit_limit):
     # one process answers each request alike whatever ran before it: the
     # oracle's caches and the digit limit carry nothing between requests
@@ -280,6 +303,123 @@ def test_help_exits_0_with_usage_on_stdout(argv, usage):
     code, out, err = run(argv)
     assert (code, err) == (0, "")
     assert out.startswith(usage)
+
+
+# -- fuzzing the request path ------------------------------------------------
+#
+# Small sizes throughout: a power of a sum at r >= 2, ggw at genus 10^6 and
+# an S-slant at genus 10^5 still run for seconds to minutes under the caps.
+# Each draw is mostly valid, so that most requests get past their first flag.
+
+GENUS = st.sampled_from([-1, 0, 1, 1, 2, 2, 3, 4, 5])
+RANK = st.sampled_from([-1, 0, 1, 2, 2, 3, 4])
+SMALL = st.integers(-3, 6)
+
+
+def index(hi):
+    """1..hi, and about one time in seven 0 or hi + 1, out of range."""
+    good = list(range(1, hi + 1))
+    return st.sampled_from(good * (12 // len(good)) + [0, hi + 1] if good else [0, 1])
+
+
+@st.composite
+def form_flag(draw, genus):
+    """No --form, or one with unsorted, repeated and out-of-range blades, or malformed."""
+    blade = st.lists(st.builds("{}{}".format, st.sampled_from("ab"), index(genus)), min_size=1, max_size=4)
+    term = st.one_of(
+        blade.map("^".join), st.integers(0, 99).map(str),
+        st.builds("{}*{}".format, st.integers(0, 99), blade.map("^".join)),
+    )
+    sign = st.sampled_from(["+", "-", " - ", " + "])
+    terms = st.lists(st.tuples(sign, term).map("".join), max_size=3).map("".join)
+    good = st.builds("{}{}{}".format, st.sampled_from(["", "", "-"]), term, terms)
+    bad = st.sampled_from(["", "a1^", "2*", "a1 $ b1", "c1", "a1^^b1", "+", "1 2", "(a1)", "a1b1"])
+    text = draw(st.one_of(good, good, good, bad))
+    if draw(st.booleans()):
+        return []
+    # a form that starts with '-' goes as --form=..., or argparse takes it for a flag
+    return [f"--form={text}"] if text.startswith("-") or draw(st.booleans()) else ["--form", text]
+
+
+@st.composite
+def slant_text(draw, r, genus):
+    """Slant text with declared and undeclared k0 names, out-of-range indices, or malformed."""
+    i, j = index(max(r, 1)), index(2 * max(genus, 0))
+    cup = st.one_of(i.map("c{}".format), i.map("c{}".format), st.sampled_from("hkq").map("k0[{}]".format))
+    base = st.one_of(st.sampled_from(["pt", "S", "S", "x"]), j.map("g{}".format))
+    atom = st.one_of(
+        i.map("u{}".format), i.map("v{}".format), st.builds("G[{},{}]".format, i, j),
+        st.integers(0, 9).map(str),
+        st.builds("<{}|{}>".format, st.lists(cup, min_size=1, max_size=3).map(".".join), base),
+    )
+    expr = st.recursive(
+        atom,
+        lambda inner: st.one_of(
+            st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+            st.builds("({})^{}".format, inner, st.integers(0, 3)),
+        ),
+        max_leaves=4,
+    )
+    text = draw(st.sampled_from(["", "", "", "-"])) + draw(expr)
+    if draw(st.integers(0, 9)) == 0:
+        # one character swapped for another, or added at the end
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("<>|().,+-*^[]@ 9")) + text[at + 1 :]
+    return ["--", text] if text.startswith("-") else [text]
+
+
+K0_GOOD = st.builds("{}={}".format, st.sampled_from("hk"), st.integers(-9, 9))
+K0_ENTRY = st.one_of(
+    K0_GOOD, K0_GOOD, K0_GOOD,
+    st.sampled_from(["h", "h=x", "=3", "1h=2", "h = 3", "h=", "k=1=2"]),
+)
+
+
+@st.composite
+def requests(draw):
+    """The argv of one request to any of the seven subcommands."""
+    cmd = draw(st.sampled_from(["ggw", "ggw-bundle", "sw", "quot-count", "normalize", "evaluate", "check"]))
+    if cmd == "check":
+        ints = (st.integers(-1, 2), st.integers(-1, 3), st.integers(-1, 2))
+        flags = ["--max-genus", "--max-r0", "--max-deg"]
+        return [cmd] + [x for flag, n in zip(flags, ints) for x in (flag, str(draw(n)))]
+    genus = draw(GENUS)
+    argv = [cmd, "--genus", str(genus)]
+    flags = {
+        "ggw": ["--r0", "--v"], "ggw-bundle": ["--r0", "--deg-e", "--deg-e0"],
+        "sw": ["--d", "--n", "--deg-v0"], "quot-count": ["--r0"],
+        "normalize": ["--scalar-degree"], "evaluate": ["--r0", "--v"],
+    }[cmd]
+    for flag in flags:
+        argv += [flag, str(draw(RANK if flag == "--r0" else SMALL))]
+    if cmd in ("ggw", "ggw-bundle", "sw"):
+        return argv + draw(form_flag(genus))
+    if cmd == "quot-count":
+        return argv
+    r = draw(RANK if cmd == "normalize" else st.sampled_from([1, 1, 1, 1, 1, 2]))
+    argv += ["--r", str(r)]
+    k0 = draw(st.lists(K0_ENTRY, max_size=2, unique_by=lambda entry: entry.partition("=")[0]))
+    # now and then a name given twice
+    for entry in k0 + k0[: draw(st.sampled_from([0, 0, 0, 1]))]:
+        argv += ["--k0", entry]
+    return argv + draw(slant_text(r, genus))
+
+
+@settings(max_examples=200, deadline=None)
+@given(requests())
+def test_every_request_answers_in_one_line(argv):
+    code, out, err = run(argv)
+    # exit 1 is check's alone: a grid that found failures
+    assert code in (0, 2) or (code == 1 and argv[0] == "check"), (code, err)
+    if code == 2:
+        assert out == ""
+        # one line, so no traceback
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert err == ""
+        assert out.count("\n") == 1 and out.endswith("\n")
+        json.loads(out)
+    assert run(argv) == (code, out, err)
 
 
 def test_check_small_grid_passes():

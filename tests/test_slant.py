@@ -312,15 +312,20 @@ def test_power_of_a_sum_grows_by_its_base(monkeypatch):
         assert len(merges) <= 4 * 19
 
 
+def degree(key):
+    # the grading written out: u_i has degree 2i, v_i degree 2i - 2, G[i,j] degree 2i - 1
+    u, v, odd = key
+    deg = sum(2 * i * e for i, e in enumerate(u, 1))
+    deg += sum((2 * i - 2) * e for i, e in enumerate(v, 2))
+    return deg + sum(2 * i - 1 for i, _ in odd)
+
+
+def degrees(nf):
+    return {degree(key) for key in nf.terms}
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_monomial_degree_orders_the_terms(r):
-    # the grading written out: u_i has degree 2i, v_i degree 2i - 2, G[i,j] degree 2i - 1
-    def degree(key):
-        u, v, odd = key
-        deg = sum(2 * i * e for i, e in enumerate(u, 1))
-        deg += sum((2 * i - 2) * e for i, e in enumerate(v, 2))
-        return deg + sum(2 * i - 1 for i, _ in odd)
-
     rng = random.Random(r)
     odd_gens = [(i, j) for i in range(1, r + 1) for j in range(1, 5)]
     keys = {
@@ -331,9 +336,12 @@ def test_monomial_degree_orders_the_terms(r):
         )
         for _ in range(300)
     }
-    nf = NormalForm(r, 2, dict.fromkeys(keys, 1))
-    assert all(nf.monomial_degree(key) == degree(key) for key in keys)
-    assert [key for key, _ in nf.items()] == sorted(keys, key=lambda key: (degree(key), key))
+    # distinct coefficients, so each printed term names its key
+    order = sorted(keys, key=lambda key: (degree(key), key))
+    nf = NormalForm(r, 2, {key: n for n, key in enumerate(order, 2)})
+    printed = print_normal(nf)
+    assert printed == reference_print(nf)
+    assert [int(term.split("*")[0]) for term in printed.split(" + ")] == list(range(2, len(order) + 2))
 
 
 def test_normal_form_repr_names_shape_and_text():
@@ -591,8 +599,8 @@ def test_round_trip_fuzz():
         assert again == nf, print_normal(nf)
 
 
-def degree_part(x, degree):
-    return x._like({m: c for m, c in x.terms.items() if x.monomial_degree(m) == degree})
+def degree_part(x, d):
+    return x._like({m: c for m, c in x.terms.items() if degree(m) == d})
 
 
 def test_graded_commutativity_fuzz():
@@ -601,8 +609,8 @@ def test_graded_commutativity_fuzz():
         ctx = random_context(rng)
         x = norm(random_expr(rng, ctx), ctx)
         y = norm(random_expr(rng, ctx), ctx)
-        for p in x.degrees():
-            for q in y.degrees():
+        for p in degrees(x):
+            for q in degrees(y):
                 xp, yq = degree_part(x, p), degree_part(y, q)
                 flip = -1 if (p * q) % 2 else 1
                 assert xp * yq == flip * (yq * xp), (p, q)
@@ -639,9 +647,11 @@ def constructor_form(rng, ctx, sort):
 
 
 def reference_print(nf):
-    # the term-by-term join: every term's body built afresh from its factors
+    # the term-by-term join: every term's body built afresh from its factors,
+    # in (degree, key) order
     terms = []
-    for (u, v, odd), coeff in nf.items():
+    for u, v, odd in sorted(nf.terms, key=lambda key: (degree(key), key)):
+        coeff = nf.terms[u, v, odd]
         parts = [f"u{i}^{e}" if e > 1 else f"u{i}" for i, e in enumerate(u, 1) if e]
         parts += [f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in enumerate(v, 2) if e]
         parts += [f"G[{i},{j}]" for i, j in odd]
@@ -748,7 +758,7 @@ def random_ast(rng, ctx, depth=0):
 
 def test_normalize_matches_the_node_by_node_route():
     # the term-dict recursion against one NormalForm per node: equal forms, the
-    # same printed bytes as the per-term sort of items(), the same error text
+    # same printed bytes as the per-term (degree, key) sort, the same error text
     rng = random.Random(2213)
     nonzero = sum_powers = errors = 0
     for _ in range(600):
@@ -783,7 +793,7 @@ def test_slant_degree_bookkeeping():
         base = rng.choice(bases)
         drop = base_deg.get(base, 1)
         nf = norm(f"<{'.'.join(atoms)}|{base}>", ctx)
-        assert nf.degrees() <= {cup_deg - drop}
+        assert degrees(nf) <= {cup_deg - drop}
 
 
 # -- abelian evaluation ------------------------------------------------------
