@@ -13,12 +13,13 @@ Multivector, the slant algebra's NormalForm and the Segre oracle's
 ThetaSeries and KunnethClass share one sparse core, Combination, with
 one truncated exponential and one bilinear product, product_terms, a
 loop over two term dicts that normalize in the slant layer calls too.
-Validation happens where terms enter: the public constructors and the
-parsers.  Results built from terms that are already valid (wedge, sums,
-scalings, theta and its powers, exponentials) come through the one
-trusted Combination._like.  Every value class is a __slots__ class on Record:
-the small ones of every layer (SurfaceTopology here), and Combination,
-whose subclasses' own __slots__ are their shape.
+Every public constructor validates through Combination.__init__, which
+refuses a coefficient that is not an int, and checks its own monomials;
+results built from valid terms (wedge, sums, scalings, theta and its
+powers, exponentials) come through the trusted Combination._like.  Every
+value class is a __slots__ class on Record: the small ones of every
+layer (SurfaceTopology here), and Combination, whose subclasses' own
+__slots__ are their shape.
 """
 
 import re
@@ -29,6 +30,7 @@ from operator import attrgetter, ge
 
 __all__ = [
     "check_counts",
+    "check_range",
     "SurfaceTopology",
     "Multivector",
     "merge_blades",
@@ -80,6 +82,12 @@ def check_counts(genus: int, r0: int = 1):
         raise ValueError("genus must be nonnegative")
     if r0 < 1:
         raise ValueError("target rank must be >= 1")
+
+
+def check_range(index: int, genus: int, who: str):
+    """Refuse a generator index past the genus, naming who: every layer's one text."""
+    if index >= 2 * genus:
+        raise ValueError(f"{who}: generator index {index} out of range for genus {genus}")
 
 
 class SurfaceTopology(Record):
@@ -181,11 +189,18 @@ class Combination(Record):
     merge_monomials.  Any other operand is a TypeError.  x.exp(one, who)
     is the truncated exponential of a nilpotent x.
 
-    Public constructors and parsers validate; everything computed from
-    valid operands comes through _like.
+    Public constructors validate through __init__, the one coefficient
+    check; everything computed from valid operands comes through _like.
     """
 
     __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        """terms without their zeros; TypeError on a coefficient that is not an int."""
+        for c in terms.values():
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r} is not an int")
+        self.terms = {m: c for m, c in terms.items() if c}
 
     def _like(self, terms):
         """self's type and shape over terms of valid monomials; drops zeros, checks nothing."""
@@ -274,8 +289,8 @@ class Combination(Record):
 class Multivector(Combination):
     """Sparse integer element of the exterior algebra; monomials are blades.
 
-    The constructor validates each coefficient and blade.  x * y is the
-    wedge product; :func:`wedge` also validates generator ranges.
+    The constructor checks each blade, the core each coefficient.  x * y
+    is the wedge product; :func:`wedge` also validates generator ranges.
     """
 
     __slots__ = ()
@@ -283,18 +298,13 @@ class Multivector(Combination):
     merge_monomials = staticmethod(merge_blades)
 
     def __init__(self, terms=None):
-        clean = {}
-        for blade, coeff in (terms or {}).items():
-            if not isinstance(coeff, int):
-                raise TypeError(f"coefficient {coeff!r} is not an int")
-            blade = tuple(blade)
+        terms = {tuple(blade): coeff for blade, coeff in (terms or {}).items()}
+        super().__init__(terms)
+        for blade in terms:
             if any(map(ge, blade, blade[1:])):
                 raise ValueError(f"blade {blade} is not strictly increasing")
             if blade and blade[0] < 0:
                 raise ValueError(f"blade {blade} has a negative generator index")
-            if coeff:
-                clean[blade] = coeff
-        self.terms = clean
 
     @classmethod
     def zero(cls) -> "Multivector":
@@ -343,15 +353,10 @@ class Multivector(Combination):
         return f"Multivector({dict(self.items())!r})"
 
 
-def _check_range(x: Multivector, genus: int, who: str):
-    if x.max_index() >= 2 * genus:
-        raise ValueError(f"{who}: generator index {x.max_index()} out of range for genus {genus}")
-
-
 def wedge(x: Multivector, y: Multivector, topo: SurfaceTopology) -> Multivector:
     """Exterior product x * y: Combination's product, range-checked against topo."""
-    _check_range(x, topo.genus, "wedge")
-    _check_range(y, topo.genus, "wedge")
+    check_range(x.max_index(), topo.genus, "wedge")
+    check_range(y.max_index(), topo.genus, "wedge")
     return x._product(y)
 
 
@@ -386,7 +391,7 @@ def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
     k must come out exact; blade sums with integer coefficients always
     satisfy this (a k-fold product of distinct blades shows up k! times).
     """
-    _check_range(x, topo.genus, "exp_even")
+    check_range(x.max_index(), topo.genus, "exp_even")
     if x.is_zero():
         return Multivector.scalar(1)
     degs = x.degrees()
@@ -400,7 +405,7 @@ def exp_even(x: Multivector, topo: SurfaceTopology) -> Multivector:
 
 def top_pairing(x: Multivector, topo: SurfaceTopology) -> int:
     """Coefficient of the orientation blade a1^b1^...^ag^bg."""
-    _check_range(x, topo.genus, "top_pairing")
+    check_range(x.max_index(), topo.genus, "top_pairing")
     return x.coefficient(topo.top_blade())
 
 
@@ -427,8 +432,7 @@ def pair_theta_powers(terms: dict, genus: int, scale: int, lowest: int) -> int:
     total = 0
     for blade, coeff in terms.items():
         if blade and blade[-1] >= rank:
-            top = max(b[-1] for b in terms if b)
-            raise ValueError(f"pair_theta_powers: generator index {top} out of range for genus {genus}")
+            check_range(max(b[-1] for b in terms if b), genus, "pair_theta_powers")
         i, odd = divmod(2 * genus - len(blade), 2)
         if not odd and i >= lowest and len({x >> 1 for x in blade}) == genus - i:
             total += coeff * scale**i
@@ -464,10 +468,12 @@ class TextSyntaxError(ValueError):
 WORD = r"[A-Za-z_][A-Za-z_\d]*"
 # string.ascii_letters, spelled out: importing string compiles its Template pattern
 LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# the symbols' character class, spelled once for both patterns below
+_SYMBOLS = r"<>|().,+\-*^\[\]"
 # symbols first, as most tokens are; the first character alone picks the class
-_TOKEN_RE = re.compile(rf"\s*([<>|().,+\-*^\[\]]|\d+|{WORD}|\S)")
+_TOKEN_RE = re.compile(rf"\s*([{_SYMBOLS}]|\d+|{WORD}|\S)")
 # a character no token class takes; the tokenizer's \S catches it alone
-_BAD_RE = re.compile(r"[^\s\dA-Za-z_<>|().,+\-*^\[\]]")
+_BAD_RE = re.compile(rf"[^\s\dA-Za-z_{_SYMBOLS}]")
 # the kinds of token other than symbols, read off the first character
 _KIND_TESTS = {"int": str.isdecimal, "word": str.isidentifier}
 
@@ -633,7 +639,7 @@ def parse_multivector(text: str, topo: SurfaceTopology) -> Multivector:
 
 def format_multivector(x: Multivector, topo: SurfaceTopology) -> str:
     """Canonical text form, parseable by parse_multivector."""
-    _check_range(x, topo.genus, "format_multivector")
+    check_range(x.max_index(), topo.genus, "format_multivector")
     return format_terms(
         ("^".join(topo.generator_name(i) for i in blade), coeff) for blade, coeff in x.items()
     )

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from math import comb, factorial, perm
 
-from .exterior import Combination, Multivector, check_counts, merge_blades
+from .exterior import Combination, Multivector, check_counts, check_range, merge_blades
 from .indices import abelian_v
 
 __all__ = [
@@ -59,13 +59,10 @@ class ThetaSeries(Combination):
     __slots__ = ("genus",)
 
     def __init__(self, coeffs, genus: int):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"coefficient {c!r} is not an int")
+        super().__init__(dict(enumerate(coeffs)))
         check_counts(genus)
         self.genus = genus
-        self.terms = {i: c for i, c in enumerate(coeffs[: genus + 1]) if c}
+        self.terms = {i: c for i, c in self.terms.items() if i <= genus}
 
     def merge_monomials(self, i, j):
         return (i + j, comb(i + j, i)) if i + j <= self.genus else None
@@ -105,16 +102,14 @@ class KunnethClass(Combination):
 
     def __init__(self, terms, genus: int):
         check_counts(genus)
-        for m, c in terms.items():
-            if not isinstance(c, int):
-                raise TypeError(f"coefficient {c!r} is not an int")
+        super().__init__(terms)
+        for m in terms:
             if not (
                 type(m) is tuple and len(m) == 2 and isinstance(m[0], int)
                 and 0 <= m[0] <= genus and m[1] in (0, 1, 2)
             ):
                 raise ValueError(f"monomial {m!r} is not (k, part) with k in 0..{genus}, part 0..2")
         self.genus = genus
-        self.terms = {m: c for m, c in terms.items() if c}
 
     def merge_monomials(self, m1, m2):
         (i, p), (j, q) = m1, m2
@@ -317,9 +312,7 @@ def ggw_via_segre(
     total = 0
     for blade, coeff in l.terms.items():
         if blade and blade[-1] >= 2 * genus:
-            raise ValueError(
-                f"ggw_via_segre: generator index {blade[-1]} out of range for genus {genus}"
-            )
+            check_range(blade[-1], genus, "ggw_via_segre")
         # of the Segre indices lowest..g, only g - |B|/2 tops off against blade B
         idx, odd = divmod(2 * genus - len(blade), 2)
         if odd or idx < lowest:

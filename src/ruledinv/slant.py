@@ -253,17 +253,17 @@ class NormalForm(Combination):
 
     Keys are (u_exponents, v_exponents, odd_generators): u covers
     u_1..u_r, v covers v_2..v_r, odd is a sorted tuple of (i, j) pairs
-    for G[i,j].  Only r and genus are carried; they are the shape two
-    operands must share.  The reduction scalars live in the context and
-    are consumed during normalize.  All arithmetic comes from the shared
-    core, exterior.Combination; merge_monomials multiplies two keys.
+    for G[i,j].  Only r and genus, the shape two operands must share, are
+    carried; the context's reduction scalars are consumed by normalize.
+    The shared core, exterior.Combination, checks each coefficient and
+    does all arithmetic; merge_monomials multiplies two keys.
     """
 
     __slots__ = ("r", "genus")
 
     def __init__(self, r: int, genus: int, terms=None):
+        super().__init__(terms or {})
         self.r, self.genus = r, genus
-        self.terms = {key: coeff for key, coeff in (terms or {}).items() if coeff}
 
     @classmethod
     def scalar(cls, ctx: AlgebraContext, n: int) -> "NormalForm":

@@ -54,13 +54,14 @@ REASONS = {
     # a reader that closes stdout before the response
     "cli.main": "guard",
     # refusals of invalid library input, which the parsers and the CLI never pass on
+    "exterior.check_range": "guard",
     "exterior.SurfaceTopology._check_handle": "guard",
+    "exterior.Combination.__init__": "guard",
     "exterior.Combination._check_shape": "guard",
     "exterior.Combination.__add__": "guard",
     "exterior.Combination.__mul__": "guard",
     "exterior.Combination.exact_div": "guard",
     "exterior.Multivector.__init__": "guard",
-    "exterior._check_range": "guard",
     "exterior.theta_divided_power": "guard",
     "exterior.exp_even": "guard",
     "exterior.pair_theta_powers": "guard",
@@ -68,7 +69,6 @@ REASONS = {
     "indices.douady_index": "guard",
     "invariants.ggw_abelian": "guard",
     "invariants.sw_chamber": "guard",
-    "picard.ThetaSeries.__init__": "guard",
     "picard.ThetaSeries.__getitem__": "guard",
     "picard.KunnethClass.__init__": "guard",
     "picard._segre_point": "guard",

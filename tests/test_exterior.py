@@ -1,5 +1,6 @@
 import inspect
 import math
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 import ruledinv
 from ruledinv.exterior import (
+    Combination,
     Multivector,
     SurfaceTopology,
     TextSyntaxError,
     check_counts,
+    check_range,
     exp_even,
     format_multivector,
     pair_theta_powers,
@@ -140,12 +143,19 @@ def test_constructor_validates_and_drops_zeros():
 def test_generator_out_of_range_rejected():
     with pytest.raises(ValueError, match="^handle index 3 out of range for genus 2$"):
         SurfaceTopology(2).a(3)
-    topo = SurfaceTopology(1)
-    bad = Multivector.generator(2)
-    with pytest.raises(ValueError):
-        wedge(bad, bad, topo)
-    with pytest.raises(ValueError):
-        top_pairing(bad, topo)
+    # every route past the genus raises check_range's one text, naming itself
+    topo, bad = SurfaceTopology(1), Multivector.generator(2)
+    routes = {
+        "wedge": lambda: wedge(bad, bad, topo),
+        "exp_even": lambda: exp_even(bad, topo),
+        "top_pairing": lambda: top_pairing(bad, topo),
+        "format_multivector": lambda: format_multivector(bad, topo),
+        "pair_theta_powers": lambda: pair_theta_powers(bad.terms, 1, 2, 0),
+        "ggw_via_segre": lambda: ggw_via_segre(1, 1, -1, 0, 10, bad),
+    }
+    for who, route in routes.items():
+        with pytest.raises(ValueError, match=f"^{who}: generator index 2 out of range for genus 1$"):
+            route()
 
 
 def test_exp_even_input_validation():
@@ -545,6 +555,33 @@ def test_the_refusal_texts_are_written_in_check_counts_alone():
     source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
     for text in ("genus must be nonnegative", "target rank must be >= 1"):
         assert source.count(text) == 1 and text in inspect.getsource(check_counts)
+
+
+def test_the_coefficient_and_generator_range_texts_are_written_once():
+    # the shared core's constructor and check_range hold them; every other
+    # constructor and route calls those, so no copy can drift
+    package = Path(ruledinv.__file__).parent
+    source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+    for text, home in (('is not an int")', Combination.__init__), ("generator index {", check_range)):
+        assert source.count(text) == 1 and text in inspect.getsource(home)
+
+
+# every public constructor of the shared core, over one coefficient
+CONSTRUCTORS = {
+    "Multivector": lambda c: Multivector({(0,): c}),
+    "ThetaSeries": lambda c: ThetaSeries([c], 1),
+    "KunnethClass": lambda c: KunnethClass({(0, 0): c}, 1),
+    "NormalForm": lambda c: NormalForm(1, 1, {((1,), (), ()): c}),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+@pytest.mark.parametrize("coeff, shown", [(0.5, "0.5"), (Fraction(1, 2), r"Fraction\(1, 2\)")])
+def test_every_constructor_refuses_a_coefficient_that_is_not_an_int(name, coeff, shown):
+    with pytest.raises(TypeError, match=rf"^coefficient {shown} is not an int$"):
+        CONSTRUCTORS[name](coeff)
+    # an int passes, and a zero is dropped
+    assert len(CONSTRUCTORS[name](3).terms) == 1 and CONSTRUCTORS[name](0).is_zero()
 
 
 # -- the value classes -------------------------------------------------------

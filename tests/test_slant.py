@@ -368,6 +368,14 @@ def test_context_shape_mismatch():
     assert m != one and not (one == m)
 
 
+def test_a_context_with_non_int_scalars_cannot_make_a_normal_form():
+    # 0.25 - 0.5 would print as -0.25, text that parse_expr refuses; the
+    # shared core refuses the coefficient as every constructor does
+    ctx = AlgebraContext(1, 1, scalar_degree=0.5, k0_eval={"h": 0.25})
+    with pytest.raises(TypeError, match=r"^coefficient -0.25 is not an int$"):
+        normalize(parse_expr("<k0[h]|S> + <c1|S>", ctx), ctx)
+
+
 def test_cup_order_is_immaterial():
     ctx = AlgebraContext(r=3, genus=1, scalar_degree=2)
     for base in ("pt", "S", "g1", "g2"):
